@@ -1,11 +1,22 @@
 """Dense density-matrix simulation of noisy circuits.
 
-Gates are applied as small-matrix tensor contractions on a rank-2N view of
-the density matrix, which keeps a 10-qubit, multi-thousand-gate sweep in
-the seconds-to-minutes range without any sparse machinery. Noise is a
-fixed policy: after each ideal gate, an independent single-qubit
-depolarising channel acts on every support qubit at a rate chosen so the
-probability that the whole gate is error-free is exactly 1 - epsilon.
+The density matrix is held as a rank-2N tensor, N row axes then N column
+axes, and gates are small-matrix contractions on it, which keeps a
+10-qubit, multi-thousand-gate sweep in the seconds-to-minutes range without
+any sparse machinery. Noise is a fixed policy: after each ideal gate, an
+independent single-qubit depolarising channel acts on every support qubit
+at a rate chosen so the probability that the whole gate is error-free is
+exactly 1 - epsilon.
+
+``run_circuit`` turns each noisy gate on k <= 2 qubits into one
+superoperator D(p)^(x k) o (U (x) U*) on the gate's (row, column) axis
+pairs and fuses consecutive gates into one map while their joint support
+has at most two qubits, moving a gate back past ops on other qubits. A gate
+on three or more qubits applies U to the rows and U* to the columns; its
+per-qubit noise maps start new fusable ops. Fusion only composes linear
+maps and commutes maps on disjoint qubits, so it changes results by
+rounding alone. Each fused op is applied as soon as no later gate can merge
+into it, so the kernel holds O(N) small maps however long the circuit.
 """
 
 from __future__ import annotations
@@ -22,14 +33,15 @@ from .errors import (
     InvalidStateError,
     ShapeError,
 )
-from .hamiltonians import PAULI_MATRICES, PauliString
+from .hamiltonians import PauliString
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
-# Re-symmetrise the evolving matrix this often to suppress float drift.
+# Re-symmetrise the evolving matrix about this often, in program gates, to
+# suppress float drift.
 _RESYMMETRISE_EVERY = 100
 
 
@@ -103,10 +115,26 @@ class Gate:
         if self.kind == "cnot":
             return _CNOT.copy()
         if self.kind == "pauli_exp":
-            pauli_mat = PauliString(self.pauli).matrix()
-            dim = pauli_mat.shape[0]
-            return np.cos(self.angle) * np.eye(dim) - 1j * np.sin(self.angle) * pauli_mat
+            return _pauli_exp_matrix(self.pauli, self.angle)
         raise InvalidGateError(f"unknown gate kind {self.kind!r}")
+
+
+def _pauli_exp_matrix(pauli: str, angle: float) -> np.ndarray:
+    """cos(t) Id - i sin(t) P, with P applied as a signed permutation.
+
+    P maps |j> to i^(#Y) (-1)^|j & zy| |j ^ xy>, where xy (zy) marks the
+    qubits carrying X or Y (Z or Y), qubit 0 in the most significant bit.
+    """
+    xy = zy = 0
+    for c in pauli:
+        xy = 2 * xy + (c in "XY")
+        zy = 2 * zy + (c in "YZ")
+    dim = 2 ** len(pauli)
+    coef = -1j * (1, 1j, -1, -1j)[pauli.count("Y") % 4] * math.sin(angle)
+    u = math.cos(angle) * np.eye(dim, dtype=complex)
+    for j in range(dim):
+        u[j ^ xy, j] += -coef if (j & zy).bit_count() & 1 else coef
+    return u
 
 
 @dataclass(frozen=True)
@@ -228,26 +256,180 @@ class DensityMatrix:
 
 def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     """Contract a 2^k x 2^k matrix into the given k axes of a qubit tensor."""
-    k = len(axes)
-    mat_t = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(mat_t, tensor, axes=(tuple(range(k, 2 * k)), tuple(axes)))
-    return np.moveaxis(out, tuple(range(k)), tuple(axes))
+    order = [*axes, *[a for a in range(tensor.ndim) if a not in axes]]
+    moved = tensor.transpose(order)
+    out = (mat @ moved.reshape(mat.shape[1], -1)).reshape(moved.shape)
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return out.transpose(inverse)
 
 
-def _depolarise_tensor(tensor: np.ndarray, qubit: int, n: int, p: float) -> np.ndarray:
-    """Partial-replace channel on one (row, column) axis pair.
+def _conjugate(tensor: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
+    """U rho U^dagger: U on the row axes, then U* on the column axes."""
+    tensor = _apply_matrix(tensor, mat, qubits)
+    return _apply_matrix(tensor, mat.conj(), [n + q for q in qubits])
 
-    rho -> (1 - p) rho + p (tr_q rho) (x) Id/2. Valid (CPTP) for
-    p in [0, 4/3]; p above 1 realises the uniform-Pauli error channel.
+
+def _pair_axes(qubits, n: int) -> list[int]:
+    """The (row, column) axis pairs of the qubits, in the order r1 c1 r2 c2."""
+    return [axis for q in qubits for axis in (q, n + q)]
+
+
+# Superoperators act on a qubit's (row, column) index pair, flattened as
+# 2 * row + column; a map on two qubits uses the pair order r1 c1 r2 c2.
+_ID_MAP = np.eye(4)
+
+
+def _depolarising_map(rate: float) -> np.ndarray:
+    """The partial-replace channel (1 - p) rho + p tr(rho) Id/2 as a 4x4 map.
+
+    Valid (CPTP) for p in [0, 4/3]; p above 1 realises the uniform-Pauli
+    error channel. The populations keep ``stay`` and swap ``1 - stay``,
+    which sum to one exactly in floating point, so rounding does not bias
+    the trace.
     """
-    t = np.moveaxis(tensor, (qubit, n + qubit), (0, 1))
-    out = t.copy()
-    avg = 0.5 * (t[0, 0] + t[1, 1])
-    out[0, 0] = (1.0 - p) * t[0, 0] + p * avg
-    out[1, 1] = (1.0 - p) * t[1, 1] + p * avg
-    out[0, 1] = (1.0 - p) * t[0, 1]
-    out[1, 0] = (1.0 - p) * t[1, 0]
-    return np.moveaxis(out, (0, 1), (qubit, n + qubit))
+    stay = 1.0 - 0.5 * rate
+    swap = 1.0 - stay
+    coherence = 1.0 - rate
+    return np.array(
+        [
+            [stay, 0.0, 0.0, swap],
+            [0.0, coherence, 0.0, 0.0],
+            [0.0, 0.0, coherence, 0.0],
+            [swap, 0.0, 0.0, stay],
+        ]
+    )
+
+
+def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """first (x) second for two single-qubit maps, in pair order."""
+    return (first.reshape(4, 1, 4, 1) * second.reshape(1, 4, 1, 4)).reshape(16, 16)
+
+
+def _unitary_map(mat: np.ndarray) -> np.ndarray:
+    """rho -> U rho U^dagger as a 4^k x 4^k map, in pair order."""
+    k = mat.shape[0].bit_length() - 1
+    rows = mat.reshape((2, 1) * (2 * k))
+    cols = mat.conj().reshape((1, 2) * (2 * k))
+    return (rows * cols).reshape(4**k, 4**k)
+
+
+def _noisy_gate_map(mat: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """D^(x k) o (U (x) U*) for a gate on k <= 2 qubits, in pair order.
+
+    Each D is applied to its own qubit's rows rather than as one product
+    D (x) D, whose rounded entries would bias the trace at every gate.
+    """
+    out = _unitary_map(mat)
+    if len(out) == 4:
+        return noise @ out
+    out = (noise @ out.reshape(4, 64)).reshape(16, 16)
+    return (noise @ out.reshape(4, 4, 16)).reshape(16, 16)
+
+
+def _on_support(mat: np.ndarray, qubits, target) -> np.ndarray:
+    """A map on ``qubits`` rewritten as a map on the qubit pair ``target``."""
+    if qubits == target:
+        return mat
+    if len(qubits) == 2:  # the same pair, listed in the other order
+        return mat.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+    if qubits[0] == target[0]:
+        return _pair_product(mat, _ID_MAP)
+    return _pair_product(_ID_MAP, mat)
+
+
+class _Op:
+    """One step of the fused kernel.
+
+    On at most two qubits, ``matrix`` is a superoperator in pair order; on
+    three or more it is a bare gate unitary. ``gates`` counts the program
+    gates folded in.
+    """
+
+    __slots__ = ("qubits", "matrix", "gates", "order", "sealed")
+
+    def __init__(self, qubits, matrix, gates, order):
+        self.qubits = qubits
+        self.matrix = matrix
+        self.gates = gates
+        self.order = order
+        self.sealed = False
+
+    def absorb(self, qubits, matrix, gates) -> None:
+        """Compose a later map into this op; their joint support has <= 2 qubits."""
+        target = self.qubits if len(self.qubits) >= len(qubits) else qubits
+        self.matrix = _on_support(matrix, qubits, target) @ _on_support(
+            self.matrix, self.qubits, target
+        )
+        self.qubits = target
+        self.gates += gates
+
+    def apply(self, tensor: np.ndarray, n: int) -> np.ndarray:
+        if len(self.qubits) > 2:
+            return _conjugate(tensor, self.matrix, self.qubits, n)
+        return _apply_matrix(tensor, self.matrix, _pair_axes(self.qubits, n))
+
+
+def _fused_ops(program: CircuitProgram):
+    """Yield the program's noisy gates as fused ops, in an order that is exact.
+
+    A gate on k <= 2 qubits becomes the map D(p)^(x k) o (U (x) U*), where D
+    is the per-qubit depolarising channel. It is composed into the latest op
+    touching its support when their joint support has at most two qubits;
+    the ops after that one act on other qubits, so the gate commutes past
+    them. A wider gate becomes a bare unitary op followed by one D map per
+    support qubit, and later gates fuse into those maps.
+
+    Once every qubit of an op has a later op, no later gate can merge into
+    it: it is yielded, after the earlier held ops it overlaps, which are
+    sealed against later merges. Every op still held is then the latest on
+    one of its qubits, so at most 2n ops are held at any time.
+    """
+    n = program.n_qubits
+    noise = program.noise
+    noise_maps = {}
+    pending: list[_Op] = []
+    latest: list[_Op | None] = [None] * n
+    order = 0
+    for gate in program.gates:
+        k = len(gate.qubits)
+        if k not in noise_maps:
+            noise_maps[k] = _depolarising_map(noise.per_qubit_replace_rate(k))
+        mat = gate.matrix()
+        if k <= 2:
+            steps = [(gate.qubits, _noisy_gate_map(mat, noise_maps[k]), 1)]
+        else:
+            steps = [(gate.qubits, mat, 1)]
+            if noise.per_gate_error > 0.0:
+                steps += [((q,), noise_maps[k], 0) for q in gate.qubits]
+        superseded = False
+        for qubits, matrix, gates in steps:
+            owners = [latest[q] for q in qubits if latest[q] is not None]
+            owner = max(owners, key=lambda op: op.order, default=None)
+            if (
+                owner is not None
+                and not owner.sealed
+                and len(set(owner.qubits).union(qubits)) <= 2
+            ):
+                owner.absorb(qubits, matrix, gates)
+            else:
+                order += 1
+                owner = _Op(qubits, matrix, gates, order)
+                pending.append(owner)
+            for q in qubits:
+                superseded = superseded or latest[q] not in (None, owner)
+                latest[q] = owner
+        if superseded:
+            kept, ready, needed = [], [], set()
+            for op in reversed(pending):
+                if needed.isdisjoint(op.qubits) and any(latest[q] is op for q in op.qubits):
+                    kept.append(op)
+                else:
+                    op.sealed = True
+                    ready.append(op)
+                    needed.update(op.qubits)
+            pending = kept[::-1]
+            yield from reversed(ready)
+    yield from pending
 
 
 def _check_support(gate: Gate, n_qubits: int) -> None:
@@ -261,10 +443,8 @@ def apply_unitary(state: DensityMatrix, gate: Gate) -> DensityMatrix:
     """Return U rho U^dagger for the gate's unitary embedded on its support."""
     n = state.n_qubits
     _check_support(gate, n)
-    mat = gate.matrix()
     t = state.data.reshape((2,) * (2 * n))
-    t = _apply_matrix(t, mat, gate.qubits)
-    t = _apply_matrix(t, mat.conj(), tuple(n + q for q in gate.qubits))
+    t = _conjugate(t, gate.matrix(), gate.qubits, n)
     return DensityMatrix(n, np.reshape(t, (state.dim, state.dim)))
 
 
@@ -279,7 +459,7 @@ def apply_depolarising(state: DensityMatrix, qubit: int, rate: float) -> Density
     if not 0 <= qubit < n:
         raise InvalidGateError(f"qubit {qubit} out of range for {n} qubits")
     t = state.data.reshape((2,) * (2 * n))
-    t = _depolarise_tensor(t, qubit, n, rate)
+    t = _apply_matrix(t, _depolarising_map(rate), (qubit, n + qubit))
     return DensityMatrix(n, np.reshape(t, (state.dim, state.dim)))
 
 
@@ -296,7 +476,8 @@ def run_circuit(program: CircuitProgram, initial: DensityMatrix) -> DensityMatri
     an independent uniform X/Y/Z error with probability
     1 - (1 - eps)^(1/q), so the whole gate is error-free with probability
     exactly 1 - eps. With a zero error rate the output is the ideal
-    (generally pure) state.
+    (generally pure) state. The gates are applied as fused ops (see
+    ``_fused_ops``), which changes the result only by rounding.
     """
     if program.n_qubits != initial.n_qubits:
         raise ShapeError(
@@ -304,18 +485,16 @@ def run_circuit(program: CircuitProgram, initial: DensityMatrix) -> DensityMatri
         )
     n = program.n_qubits
     d = initial.dim
-    eps = program.noise.per_gate_error
     t = np.array(initial.data, dtype=complex).reshape((2,) * (2 * n))
-    for count, gate in enumerate(program.gates, start=1):
-        mat = gate.matrix()
-        t = _apply_matrix(t, mat, gate.qubits)
-        t = _apply_matrix(t, mat.conj(), tuple(n + q for q in gate.qubits))
-        if eps > 0.0:
-            p = program.noise.per_qubit_replace_rate(len(gate.qubits))
-            for q in gate.qubits:
-                t = _depolarise_tensor(t, q, n, p)
-        if count % _RESYMMETRISE_EVERY == 0:
+    # Counted in program gates; an op is applied whole, so the state is
+    # Hermitian whenever it is resymmetrised.
+    unsymmetrised = 0
+    for op in _fused_ops(program):
+        t = op.apply(t, n)
+        unsymmetrised += op.gates
+        if unsymmetrised >= _RESYMMETRISE_EVERY:
             t = _resymmetrise(t, d, n)
+            unsymmetrised = 0
     m = np.ascontiguousarray(t).reshape(d, d)
     return DensityMatrix(n, 0.5 * (m + m.conj().T))
 
@@ -330,10 +509,7 @@ def run_ideal(program: CircuitProgram, initial: np.ndarray) -> np.ndarray:
         raise InvalidStateError("initial state vector is not normalised within 1e-10")
     t = psi.reshape((2,) * n)
     for gate in program.gates:
-        k = len(gate.qubits)
-        mat_t = gate.matrix().reshape((2,) * (2 * k))
-        t = np.tensordot(mat_t, t, axes=(tuple(range(k, 2 * k)), gate.qubits))
-        t = np.moveaxis(t, tuple(range(k)), gate.qubits)
+        t = _apply_matrix(t, gate.matrix(), gate.qubits)
     return np.reshape(t, -1)
 
 

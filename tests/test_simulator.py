@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,9 @@ from noisescramble import (
     run_ideal,
 )
 from noisescramble.ansatz import AnsatzSpec, build_sel_circuit
+from noisescramble.simulator import _fused_ops
 
-from .oracles import kraus_run, statevector_run
+from .oracles import full_gate_unitary, kraus_run, statevector_run
 
 
 class TestGate:
@@ -288,3 +292,103 @@ class TestDensityMatrix:
 
     def test_psd_validation(self):
         DensityMatrix.maximally_mixed(2).validate_psd()
+
+
+def _mixed_program(rng, n_qubits, n_gates):
+    """Random gates of every kind, with Pauli exponentials of weight 1 to n."""
+    gates = []
+    for _ in range(n_gates):
+        kind = rng.integers(4)
+        if kind == 0:
+            maker = (Gate.rotation_x, Gate.rotation_y, Gate.rotation_z)[rng.integers(3)]
+            gates.append(maker(int(rng.integers(n_qubits)), float(rng.uniform(-7, 7))))
+        elif kind == 1:
+            control, target = rng.choice(n_qubits, size=2, replace=False)
+            gates.append(Gate.cnot(int(control), int(target)))
+        else:
+            weight = int(rng.integers(1, n_qubits + 1))
+            ops = ["I"] * n_qubits
+            for q in rng.choice(n_qubits, size=weight, replace=False):
+                ops[q] = str(rng.choice(list("XYZ")))
+            gates.append(Gate.pauli_exponential("".join(ops), float(rng.uniform(-4, 4))))
+    return CircuitProgram(n_qubits, tuple(gates))
+
+
+class TestFusedKernel:
+    """run_circuit fuses gates into <= 2-qubit superoperators; the Kraus
+    oracle applies every gate and every error channel literally."""
+
+    @staticmethod
+    def _check_against_oracle(program, epsilons=(1e-8, 0.1, 1.0)):
+        initial = DensityMatrix.basis_state(program.n_qubits)
+        for eps in epsilons:
+            noisy = program.with_noise(eps)
+            rho = run_circuit(noisy, initial)
+            expected = kraus_run(noisy, initial.data)
+            assert np.abs(rho.data - expected).max() < 1e-12, eps
+
+    def test_long_mixed_four_qubit_program(self, rng):
+        program = _mixed_program(rng, 4, 320)
+        weights = {len(g.qubits) for g in program.gates}
+        assert weights == {1, 2, 3, 4}
+        self._check_against_oracle(program)
+
+    def test_gate_moves_back_only_past_disjoint_ops(self):
+        # Rx(0) after CNOT(0,1), CNOT(1,2) joins the op of CNOT(0,1), and
+        # Ry(1) after CNOT(3,2) joins the op of CNOT(1,2). CNOT(3,2) must
+        # not join the older op of H(3): the op on (1,2) lies in between.
+        program = CircuitProgram(
+            4,
+            (
+                Gate.hadamard(3),
+                Gate.hadamard(0),
+                Gate.cnot(0, 1),
+                Gate.cnot(1, 2),
+                Gate.rotation_x(0, 0.7),
+                Gate.rotation_z(2, -1.3),
+                Gate.cnot(3, 2),
+                Gate.rotation_y(1, 0.4),
+            ),
+        )
+        supports = [op.qubits for op in _fused_ops(program)]
+        assert supports == [(3,), (0, 1), (1, 2), (3, 2)]
+        self._check_against_oracle(program)
+
+    def test_reversed_pair_cnots(self):
+        program = CircuitProgram(
+            2,
+            (
+                Gate.rotation_y(1, 0.9),
+                Gate.cnot(0, 1),
+                Gate.cnot(1, 0),
+                Gate.rotation_x(0, 0.3),
+                Gate.cnot(1, 0),
+                Gate.pauli_exponential("YX", 0.8),
+                Gate.cnot(0, 1),
+            ),
+        )
+        assert [op.qubits for op in _fused_ops(program)] == [(0, 1)]
+        self._check_against_oracle(program)
+
+    def test_pauli_exponential_matrix_matches_expm(self):
+        for ops in itertools.product("XYZ", repeat=3):
+            for length in (1, 2, 3):
+                gate = Gate.pauli_exponential("".join(ops[:length]), 0.83)
+                expected = full_gate_unitary(gate, length)
+                assert np.abs(gate.matrix() - expected).max() < 1e-14
+
+    def test_memory_does_not_grow_with_depth(self):
+        # ops are applied as soon as no later gate can merge into them, so
+        # the kernel holds O(n) small maps, not one per gate
+        peaks = []
+        for layers in (50, 200):
+            program = build_sel_circuit(AnsatzSpec("SEL", 5, layers, seed=4)).with_noise(1e-3)
+            initial = DensityMatrix.basis_state(5)
+            run_circuit(program, initial)  # warm-up
+            tracemalloc.start()
+            try:
+                run_circuit(program, initial)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
