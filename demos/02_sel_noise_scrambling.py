@@ -23,7 +23,7 @@ config = ExperimentConfig(
     seeds=tuple(range(10)),
     seed=2,
 )
-rows = run_sweep(config, threads=2)
+rows = run_sweep(config)
 
 fit_w, summary_w = aggregate_and_fit(rows, "W")
 fit_c, summary_c = aggregate_and_fit(rows, "C")

@@ -29,7 +29,7 @@ for layers in (2, 4, 8, 16, 32):
             seeds=tuple(range(6)),
             seed=3,
         )
-        rows = run_sweep(config, threads=2)
+        rows = run_sweep(config)
         values[mode] = (
             float(np.mean([r.uniformity for r in rows])),
             float(np.mean([r.commutator_rel for r in rows])),

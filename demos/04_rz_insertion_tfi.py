@@ -22,7 +22,7 @@ for family in ("HVA-TFI", "HVA-TFI-RZ"):
         seeds=tuple(range(8)),
         seed=4,
     )
-    rows = run_sweep(config, threads=2)
+    rows = run_sweep(config)
     fit, summary = aggregate_and_fit(rows, "W")
     fits[family] = fit
     print(f"\n{family}:")

@@ -12,19 +12,17 @@ import numpy as np
 
 from .errors import NoiseScrambleError
 from .harness import (
+    CSV_HEADER,
     EPSILON_PROXY_C,
     EPSILON_PROXY_W,
     ExperimentConfig,
     aggregate_and_fit,
-    build_program,
-    derive_seed,
+    format_row,
     read_rows,
     run_sweep,
     substitute_zero_epsilons,
 )
-from .fitting import alpha_by_qubits, scaling_model
-from .metrics import compute_spectral_report
-from .simulator import DensityMatrix, basis_statevector, run_circuit, run_ideal
+from .fitting import alpha_by_qubits
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -33,13 +31,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="stand-in error rate for the zero-noise limit of W")
     parser.add_argument("--epsilon-proxy-c", type=float, default=EPSILON_PROXY_C,
                         help="stand-in error rate for the zero-noise limit of C")
-    parser.add_argument("--threads", type=int, default=1, help="parallel row evaluation")
     parser.add_argument("--metric", choices=("W", "C", "both"), default="both")
 
 
-def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_json(args.config)
-    if getattr(args, "seeds", None):
+def _load_config(args, payload: dict | None = None) -> ExperimentConfig:
+    """The ``--config`` file (or its already-read ``payload``) with ``--seeds`` applied."""
+    if payload is None:
+        config = ExperimentConfig.from_json(args.config)
+    else:
+        config = ExperimentConfig.from_dict(payload, source=str(args.config))
+    if args.seeds:
         config = replace(config, seeds=tuple(range(args.seeds)))
     return config
 
@@ -51,52 +52,28 @@ def _cmd_sweep(args) -> int:
     out = args.out or config.out
     if out is None:
         raise NoiseScrambleError("no output path: pass --out or set 'out' in the config")
-    rows = run_sweep(config, out_path=out, threads=args.threads)
+    rows = run_sweep(config, out_path=out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def _cmd_metrics(args) -> int:
+    """Print the CSV fields of the config's first grid row, as ``sweep`` would write it."""
     config = _load_config(args)
-    epsilon = config.epsilons[0]
-    n_layers = config.layers[0]
-    seed_index = config.seeds[0]
-    row_seed = derive_seed(config.seed, config.family, config.n_qubits, epsilon, 0, seed_index)
-    program = build_program(
-        config,
-        n_layers,
-        ansatz_seed=derive_seed(row_seed, "ansatz"),
-        hamiltonian_seed=derive_seed(row_seed, "hamiltonian"),
-        file_hamiltonian=None if config.hamiltonian_file is None else _load_file_hamiltonian(config),
-    ).with_noise(epsilon)
-    rho = run_circuit(program, DensityMatrix.basis_state(config.n_qubits))
-    psi = run_ideal(program, basis_statevector(config.n_qubits))
-    eta_est = (1.0 - epsilon) ** program.gate_count
-    report = compute_spectral_report(rho, psi, eta_estimate=eta_est)
-    print(f"family={config.family}")
-    print(f"n_qubits={config.n_qubits}")
-    print(f"epsilon={epsilon:.17g}")
-    print(f"nu={program.gate_count}")
-    for label, value in (
-        ("F", report.fidelity),
-        ("lambda1", report.lambda1),
-        ("W", report.uniformity),
-        ("C_rel", report.commutator_rel),
-        ("C_abs", report.commutator_abs),
-        ("trace_dist_wn", report.trace_dist_wn),
-        ("eta_est", report.eta_estimate),
-    ):
-        if value is None:
-            print(f"{label}=nan ({report.degenerate_reason})")
-        else:
-            print(f"{label}={value:.17g}")
+    (row,) = run_sweep(
+        replace(
+            config,
+            epsilons=config.epsilons[:1],
+            layers=config.layers[:1],
+            seeds=config.seeds[:1],
+        )
+    )
+    columns = dict(zip(CSV_HEADER, format_row(row).split(",")))
+    for label in ("family", "n_qubits", "epsilon", "nu", "F", "lambda1",
+                  "W", "C_rel", "C_abs", "trace_dist_wn", "eta_est"):
+        value = columns[label]
+        print(f"{label}={value}" if value else f"{label}=nan ({row.reason})")
     return 0
-
-
-def _load_file_hamiltonian(config: ExperimentConfig):
-    from .hamiltonians import load_hamiltonian_file
-
-    return load_hamiltonian_file(config.hamiltonian_file)
 
 
 def _group_rows(rows):
@@ -148,9 +125,7 @@ def _cmd_alpha_scan(args) -> int:
     if not qubit_counts:
         raise NoiseScrambleError("alpha-scan config needs a non-empty 'n_qubits_list'")
     payload.setdefault("n_qubits", qubit_counts[0])
-    base = ExperimentConfig.from_dict(payload, source=str(args.config))
-    if getattr(args, "seeds", None):
-        base = replace(base, seeds=tuple(range(args.seeds)))
+    base = _load_config(args, payload)
     metric = "W" if args.metric == "both" else args.metric
     proxy = args.epsilon_proxy_w if metric == "W" else args.epsilon_proxy_c
     out_dir = Path(args.out)
@@ -159,7 +134,7 @@ def _cmd_alpha_scan(args) -> int:
     for n_qubits in qubit_counts:
         config = replace(base, n_qubits=int(n_qubits), epsilons=(proxy,))
         rows_path = out_dir / f"rows_n{n_qubits}.csv"
-        rows = run_sweep(config, out_path=rows_path, threads=args.threads)
+        rows = run_sweep(config, out_path=rows_path)
         fit, _ = aggregate_and_fit(rows, metric)
         fits[int(n_qubits)] = fit
         print(f"n={n_qubits}: alpha={fit.alpha:.6g} beta={fit.beta:.6g}")

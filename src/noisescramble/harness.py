@@ -13,8 +13,7 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .ansatz import (
@@ -45,23 +44,6 @@ MAX_QUBITS = 12
 # spectral ratios are rate-independent but still well above float noise.
 EPSILON_PROXY_W = 1e-8
 EPSILON_PROXY_C = 1e-7
-
-_CSV_COLUMNS = (
-    ("family", "family"),
-    ("n_qubits", "n_qubits"),
-    ("epsilon", "epsilon"),
-    ("nu", "nu"),
-    ("seed", "seed"),
-    ("W", "uniformity"),
-    ("C_rel", "commutator_rel"),
-    ("C_abs", "commutator_abs"),
-    ("F", "fidelity"),
-    ("lambda1", "lambda1"),
-    ("trace_dist_wn", "trace_dist_wn"),
-    ("eta_est", "eta_est"),
-    ("wall_time_seconds", "wall_time_seconds"),
-    ("reason", "reason"),
-)
 
 
 @dataclass(frozen=True)
@@ -150,7 +132,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Metrics of one simulated grid point for one seed."""
+    """Metrics of one simulated grid point for one seed.
+
+    The fields, in order, are the rows CSV columns named in ``CSV_HEADER``.
+    """
 
     family: str
     n_qubits: int
@@ -166,6 +151,16 @@ class ResultRow:
     eta_est: float
     wall_time_seconds: float
     reason: str | None = None
+
+
+_CSV_RENAMES = {
+    "uniformity": "W",
+    "commutator_rel": "C_rel",
+    "commutator_abs": "C_abs",
+    "fidelity": "F",
+}
+_ROW_FIELDS = fields(ResultRow)
+CSV_HEADER = tuple(_CSV_RENAMES.get(field.name, field.name) for field in _ROW_FIELDS)
 
 
 def derive_seed(*parts) -> int:
@@ -271,13 +266,11 @@ def check_feasible(n_qubits: int) -> None:
         )
 
 
-def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list[ResultRow]:
+def run_sweep(config: ExperimentConfig, out_path=None) -> list[ResultRow]:
     """Simulate every (epsilon, depth, seed) grid point of a configuration.
 
-    Rows are returned in grid order and, when ``out_path`` is given, also
-    appended to the CSV as soon as they are available. ``threads`` > 1
-    evaluates independent rows concurrently without changing the output
-    order.
+    Rows are computed and returned in grid order and, when ``out_path`` is
+    given, also appended to the CSV as soon as each is done.
     """
     check_feasible(config.n_qubits)
     file_hamiltonian = None
@@ -285,28 +278,15 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
         if config.hamiltonian_file is None:
             raise ConfigError("the sparse family needs a hamiltonian_file")
         file_hamiltonian = load_hamiltonian_file(config.hamiltonian_file)
-    tasks = [
-        (epsilon, layer_index, n_layers, seed_index)
-        for epsilon in config.epsilons
-        for layer_index, n_layers in enumerate(config.layers)
-        for seed_index in config.seeds
-    ]
     rows: list[ResultRow] = []
     sink = _RowSink(out_path)
     try:
-        if threads <= 1:
-            for task in tasks:
-                row = _compute_row(config, *task, file_hamiltonian)
-                rows.append(row)
-                sink.write(row)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_compute_row, config, *task, file_hamiltonian)
-                    for task in tasks
-                ]
-                for future in futures:
-                    row = future.result()
+        for epsilon in config.epsilons:
+            for layer_index, n_layers in enumerate(config.layers):
+                for seed_index in config.seeds:
+                    row = _compute_row(
+                        config, epsilon, layer_index, n_layers, seed_index, file_hamiltonian
+                    )
                     rows.append(row)
                     sink.write(row)
     finally:
@@ -322,7 +302,7 @@ class _RowSink:
         if path is not None:
             self._handle = open(path, "w", encoding="utf-8", newline="\n")
             self._handle.write(f"# noisescramble-rows schema_version={CSV_SCHEMA_VERSION}\n")
-            self._handle.write(",".join(column for column, _ in _CSV_COLUMNS) + "\n")
+            self._handle.write(",".join(CSV_HEADER) + "\n")
             self._handle.flush()
 
     def write(self, row: ResultRow) -> None:
@@ -344,8 +324,16 @@ def _format_field(value) -> str:
     return str(value)
 
 
+def _parse_field(field, text: str):
+    """Inverse of ``_format_field``; ``field.type`` is annotation text, like "float | None"."""
+    kind, _, nullable = field.type.partition(" | ")
+    if nullable and not text:
+        return None
+    return {"str": str, "int": int, "float": float}[kind](text)
+
+
 def format_row(row: ResultRow) -> str:
-    return ",".join(_format_field(getattr(row, attribute)) for _, attribute in _CSV_COLUMNS)
+    return ",".join(_format_field(getattr(row, field.name)) for field in _ROW_FIELDS)
 
 
 def write_rows(path, rows) -> None:
@@ -363,33 +351,16 @@ def read_rows(path) -> list[ResultRow]:
     body = [line for line in lines if line and not line.startswith("#")]
     if not body:
         raise ConfigError(f"{path}: no header row found")
-    header = body[0].split(",")
-    expected = [column for column, _ in _CSV_COLUMNS]
-    if header != expected:
+    header = tuple(body[0].split(","))
+    if header != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected header {header!r}")
     rows = []
     for line in body[1:]:
-        fields = line.split(",")
-        if len(fields) != len(expected):
-            raise ConfigError(f"{path}: row has {len(fields)} fields, expected {len(expected)}")
-        named = dict(zip(expected, fields))
+        texts = line.split(",")
+        if len(texts) != len(CSV_HEADER):
+            raise ConfigError(f"{path}: row has {len(texts)} fields, expected {len(CSV_HEADER)}")
         rows.append(
-            ResultRow(
-                family=named["family"],
-                n_qubits=int(named["n_qubits"]),
-                epsilon=float(named["epsilon"]),
-                nu=int(named["nu"]),
-                seed=int(named["seed"]),
-                uniformity=float(named["W"]) if named["W"] else None,
-                commutator_rel=float(named["C_rel"]) if named["C_rel"] else None,
-                commutator_abs=float(named["C_abs"]),
-                fidelity=float(named["F"]),
-                lambda1=float(named["lambda1"]),
-                trace_dist_wn=float(named["trace_dist_wn"]),
-                eta_est=float(named["eta_est"]),
-                wall_time_seconds=float(named["wall_time_seconds"]),
-                reason=named["reason"] or None,
-            )
+            ResultRow(*(_parse_field(field, text) for field, text in zip(_ROW_FIELDS, texts)))
         )
     return rows
 

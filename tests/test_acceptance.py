@@ -39,8 +39,6 @@ from noisescramble import (
 from .conftest import random_density_matrix, random_statevector, random_traceless_hermitian
 from .oracles import kraus_run
 
-THREADS = 2
-
 
 def _check(criterion, description, passed, detail=""):
     status = "PASS" if passed else "FAIL"
@@ -174,7 +172,7 @@ def test_criterion_06_fidelity_law():
             family="SEL", n_qubits=6, epsilons=(eps,), layers=layers,
             seeds=tuple(range(10)), seed=106,
         )
-        rows = run_sweep(config, threads=THREADS)
+        rows = run_sweep(config)
         by_nu = {}
         for row in rows:
             by_nu.setdefault(row.nu, []).append(row.fidelity)
@@ -197,7 +195,7 @@ def sel_scaling_rows_w():
         seeds=tuple(range(10)), seed=107,
     )
     started = time.perf_counter()
-    rows = run_sweep(config, threads=THREADS)
+    rows = run_sweep(config)
     return rows, time.perf_counter() - started
 
 
@@ -207,7 +205,7 @@ def sel_scaling_rows_c():
         family="SEL", n_qubits=7, epsilons=(1e-7,), layers=(4, 8, 16, 32, 64, 128),
         seeds=tuple(range(10)), seed=108,
     )
-    return run_sweep(config, threads=THREADS)
+    return run_sweep(config)
 
 
 def test_criterion_07_random_sel_scaling(sel_scaling_rows_w):
@@ -254,7 +252,7 @@ def test_criterion_09_vqe_parameter_regime():
             family="HVA-XXX", n_qubits=6, epsilons=(1e-3,), layers=(layers,),
             parameter_mode="vqe", seeds=tuple(range(10)), seed=109,
         )
-        rows = run_sweep(config, threads=THREADS)
+        rows = run_sweep(config)
         mean_w = float(np.mean([r.uniformity for r in rows]))
         mean_c = float(np.mean([r.commutator_rel for r in rows]))
         means.append((mean_w, mean_c))
@@ -280,7 +278,7 @@ def test_criterion_10_rz_insertion_scrambles_faster():
             family=family, n_qubits=6, epsilons=(1e-8,), layers=(4, 8, 16, 32, 64, 128),
             parameter_mode="random", seeds=tuple(range(10)), seed=110,
         )
-        rows = run_sweep(config, threads=THREADS)
+        rows = run_sweep(config)
         fit, _ = aggregate_and_fit(rows, "W")
         betas[family] = fit.beta
     margin = betas["HVA-TFI-RZ"] - betas["HVA-TFI"]

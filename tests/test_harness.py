@@ -106,13 +106,6 @@ class TestRunSweep:
             assert a.commutator_abs == b.commutator_abs
             assert a.nu == b.nu
 
-    def test_threaded_matches_sequential(self):
-        rows_a = run_sweep(small_config())
-        rows_b = run_sweep(small_config(), threads=2)
-        for a, b in zip(rows_a, rows_b):
-            assert a.uniformity == b.uniformity
-            assert a.seed == b.seed
-
     def test_infeasible_width_rejected_before_simulation(self):
         with pytest.raises(ResourceError):
             run_sweep(small_config(n_qubits=13))
@@ -147,7 +140,7 @@ class TestSweepTrends:
             n_qubits=5, epsilons=(EPSILON_PROXY_W,), layers=(4, 8, 16, 32),
             seeds=tuple(range(5)), seed=77,
         )
-        rows = run_sweep(config, threads=2)
+        rows = run_sweep(config)
         by_nu = {}
         for row in rows:
             by_nu.setdefault(row.nu, []).append(row.uniformity)
@@ -177,6 +170,25 @@ class TestCsvRoundTrip:
         (loaded,) = read_rows(path)
         assert loaded.uniformity is None
         assert loaded.reason == "noiseless"
+
+    def test_every_field_round_trips(self, tmp_path):
+        rows = run_sweep(small_config(epsilons=(0.0, 0.01), layers=(1, 2), seeds=(0, 1)))
+        assert {row.reason for row in rows} == {None, "noiseless"}
+        path = tmp_path / "rows.csv"
+        write_rows(path, rows)
+        assert path.read_text().splitlines()[1] == (
+            "family,n_qubits,epsilon,nu,seed,W,C_rel,C_abs,F,lambda1,"
+            "trace_dist_wn,eta_est,wall_time_seconds,reason"
+        )
+        assert read_rows(path) == rows
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_rows(path, run_sweep(small_config(layers=(1,), seeds=(0,))))
+        text = path.read_text()
+        path.write_text(text[: text.rindex(",")] + "\n")
+        with pytest.raises(ConfigError):
+            read_rows(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -221,6 +233,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "F=" in out and "W=" in out and "C_rel=" in out
+
+    def test_metrics_prints_first_sweep_row(self, tmp_path, capsys):
+        config = str(REPO_ROOT / "demos" / "configs" / "metrics_demo.json")
+        assert cli_main(["metrics", "--config", config]) == 0
+        printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", config, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        first = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert len(printed) == 11
+        for key, value in printed.items():
+            assert value == first[key], key
 
     def test_fit_round_trip_fixture(self, tmp_path, capsys):
         out = tmp_path / "fit.csv"

@@ -165,6 +165,17 @@ class TestCommutatorNorm:
             b = commutator_norm_from_variance(rho, psi)
             assert abs(a - b) / max(a, b) < 1e-8
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7])
+    def test_dual_route_agreement_at_tiny_rate(self, eps):
+        # Near a pure state <w|w> - F^2 cancels to rounding noise; the
+        # variance route must still match the eigvalsh route.
+        for seed in range(5):
+            rho, psi = noisy_sel_state(seed, n_qubits=6, layers=8, eps=eps)
+            a, _ = commutator_norm(rho, psi)
+            b = commutator_norm_from_variance(rho, psi)
+            assert abs(a - b) / a <= 1e-6
+            assert compute_spectral_report(rho, psi).commutator_abs == b
+
     def test_pure_state_relative_rejected(self):
         with pytest.raises(DegenerateStateError):
             commutator_norm(DensityMatrix.basis_state(1).data, E0)
