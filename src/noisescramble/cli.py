@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +17,7 @@ from .harness import (
     ExperimentConfig,
     aggregate_and_fit,
     format_row,
+    read_json_object,
     read_rows,
     run_sweep,
     substitute_zero_epsilons,
@@ -120,7 +120,7 @@ def _write_plot_data(directory, family, n_qubits, epsilon, metric, fit, summarie
 
 
 def _cmd_alpha_scan(args) -> int:
-    payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    payload = read_json_object(args.config)
     qubit_counts = payload.pop("n_qubits_list", None)
     if not qubit_counts:
         raise NoiseScrambleError("alpha-scan config needs a non-empty 'n_qubits_list'")

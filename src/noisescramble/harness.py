@@ -46,6 +46,17 @@ EPSILON_PROXY_W = 1e-8
 EPSILON_PROXY_C = 1e-7
 
 
+def read_json_object(path) -> dict:
+    """The JSON object stored in a config file, or ConfigError if it holds anything else."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return payload
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: a circuit family crossed with error rates, depths and seeds."""
@@ -77,11 +88,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(payload, source=str(path))
+        return cls.from_dict(read_json_object(path), source=str(path))
 
     @classmethod
     def from_dict(cls, payload: dict, source: str = "config") -> "ExperimentConfig":
@@ -324,12 +331,15 @@ def _format_field(value) -> str:
     return str(value)
 
 
-def _parse_field(field, text: str):
+def _parse_field(field, text: str, path, column: str):
     """Inverse of ``_format_field``; ``field.type`` is annotation text, like "float | None"."""
     kind, _, nullable = field.type.partition(" | ")
     if nullable and not text:
         return None
-    return {"str": str, "int": int, "float": float}[kind](text)
+    try:
+        return {"str": str, "int": int, "float": float}[kind](text)
+    except ValueError:
+        raise ConfigError(f"{path}: column {column}: {text!r} is not a valid {kind}") from None
 
 
 def format_row(row: ResultRow) -> str:
@@ -359,9 +369,11 @@ def read_rows(path) -> list[ResultRow]:
         texts = line.split(",")
         if len(texts) != len(CSV_HEADER):
             raise ConfigError(f"{path}: row has {len(texts)} fields, expected {len(CSV_HEADER)}")
-        rows.append(
-            ResultRow(*(_parse_field(field, text) for field, text in zip(_ROW_FIELDS, texts)))
+        parsed = (
+            _parse_field(field, text, path, column)
+            for field, column, text in zip(_ROW_FIELDS, CSV_HEADER, texts)
         )
+        rows.append(ResultRow(*parsed))
     return rows
 
 

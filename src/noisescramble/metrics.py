@@ -1,7 +1,7 @@
 """Spectral analysis of noisy states against their noise-free targets.
 
 Everything here is a pure function of (rho, psi_ideal): the
-eigendecomposition, the eigenvalue-uniformity and commutator-norm metrics,
+sorted spectrum, the eigenvalue-uniformity and commutator-norm metrics,
 white-noise reference states, trace distances and bias bounds, and the
 arrowhead form whose secular equation reproduces the spectrum.
 
@@ -30,7 +30,6 @@ from .errors import (
 from .simulator import DensityMatrix
 
 _PURITY_TOL = 1e-12  # above 1 - this, the dominant eigenvalue counts as 1
-_TIE_TOL = 1e-12  # eigenvalues closer than this are sorted by ideal overlap
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -57,56 +56,30 @@ def fidelity(rho, psi: np.ndarray) -> float:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues in descending order with matching eigenvector columns."""
+    """Eigenvalues in descending order."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def eigendecompose(rho, psi_id: np.ndarray | None = None, *, clamp_tol: float = 1e-10) -> SpectralDecomposition:
-    """Descending eigensystem of a density matrix.
+    """Descending spectrum of a density matrix, with no eigenvectors.
 
     Tiny negative eigenvalues (within ``clamp_tol`` of zero) are clamped
-    to zero and the spectrum renormalised to unit sum. When ``psi_id`` is
-    given, ties between (numerically) degenerate eigenvalues are broken so
-    the eigenvector with the larger overlap with the ideal state comes
-    first, keeping the dominant slot aligned with the ideal component.
+    to zero and the spectrum renormalised to unit sum. ``psi_id``, when
+    given, is only checked to be a normalised vector of matching size.
     """
     mat = _as_matrix(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
     if np.abs(mat - mat.conj().T).max() > 1e-10:
         raise InvalidStateError("matrix is not Hermitian within 1e-10")
-    vals, vecs = np.linalg.eigh(mat)
+    if psi_id is not None:
+        _check_vector(psi_id, mat.shape[0])
+    vals = np.linalg.eigvalsh(mat)
     if vals[0] < -clamp_tol:
         raise InvalidStateError(f"eigenvalue {vals[0]:.3e} below -{clamp_tol:.0e}")
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    if psi_id is not None:
-        psi_id = _check_vector(psi_id, mat.shape[0])
-        overlaps = np.abs(vecs.conj().T @ psi_id) ** 2
-        start = 0
-        dim = vals.size
-        for stop in range(1, dim + 1):
-            if stop == dim or vals[start] - vals[stop] > _TIE_TOL:
-                if stop - start > 1:
-                    sub = start + np.argsort(-overlaps[start:stop], kind="stable")
-                    vals[start:stop] = vals[sub]
-                    vecs[:, start:stop] = vecs[:, sub]
-                    overlaps[start:stop] = overlaps[sub]
-                start = stop
-    vals = np.clip(vals, 0.0, None)
-    vals = vals / vals.sum()
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    vals = np.clip(vals[::-1], 0.0, None)
+    return SpectralDecomposition(eigenvalues=vals / vals.sum())
 
 
 def eigenvalue_uniformity(decomposition, *, full_dim_reference: bool = False) -> float:

@@ -190,6 +190,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError):
             read_rows(path)
 
+    def test_malformed_number_is_a_cli_error(self, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        write_rows(path, run_sweep(small_config(layers=(1,), seeds=(0,))))
+        lines = path.read_text().splitlines()
+        lines[2] = "SEL,x" + lines[2][len("SEL,3"):]
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["fit", "--rows", str(path), "--out", str(tmp_path / "fit.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_qubits" in err
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -334,6 +344,14 @@ class TestCli:
         assert table[0] == "n_qubits,alpha,beta"
         assert len(table) == 3
         assert (out_dir / "rows_n3.csv").exists()
+
+    def test_alpha_scan_rejects_config_that_is_not_a_json_object(self, tmp_path, capsys):
+        config_path = tmp_path / "scan.json"
+        for text in ("{bad", "[1]"):
+            config_path.write_text(text)
+            code = cli_main(["alpha-scan", "--config", str(config_path), "--out", str(tmp_path)])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
