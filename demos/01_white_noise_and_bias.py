@@ -12,7 +12,7 @@ import numpy as np
 from noisescramble import (
     bias_bound,
     build_white_noise_state,
-    commutator_norm,
+    compute_spectral_report,
     eigendecompose,
     eigenvalue_uniformity,
     fidelity,
@@ -29,11 +29,11 @@ wn = build_white_noise_state(psi, eta)
 
 print("== white-noise state, eta = 0.6, 3 qubits ==")
 print(f"fidelity          : {fidelity(wn.data, psi):.6f}")
-print(f"expected eta+(1-eta)/d: {wn.expected_fidelity:.6f}")
+print(f"expected eta+(1-eta)/d: {eta + (1 - eta) / psi.size:.6f}")
 
 decomposition = eigendecompose(wn.data, psi)
 print(f"uniformity W      : {eigenvalue_uniformity(decomposition):.2e}  (exactly flat spectrum)")
-absolute, relative = commutator_norm(wn.data, psi)
+absolute = compute_spectral_report(wn.data, psi).commutator_abs
 print(f"commutator norm   : {absolute:.2e}  (ideal state is an eigenvector)")
 
 # expectation-value rescaling: tr[O rho_wn]/eta recovers <psi|O|psi> exactly

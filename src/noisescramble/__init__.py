@@ -41,13 +41,10 @@ from .fitting import (
     error_rate_prefactor,
     fit_scaling,
     scaling_model,
-    small_rate_expansion,
 )
 from .hamiltonians import (
-    PAULI_MATRICES,
     PauliString,
     PauliTermHamiltonian,
-    apply_pauli_string,
     build_tfi_hamiltonian,
     build_xxx_hamiltonian,
     load_hamiltonian_file,
@@ -76,8 +73,6 @@ from .metrics import (
     bias_bound,
     build_white_noise_state,
     commutator_matrix,
-    commutator_norm,
-    commutator_norm_from_variance,
     compute_spectral_report,
     dominant_eigenvalue_gap,
     eigendecompose,
@@ -93,8 +88,6 @@ from .simulator import (
     DensityMatrix,
     Gate,
     NoiseSpec,
-    apply_depolarising,
-    apply_unitary,
     basis_statevector,
     run_circuit,
     run_ideal,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoiseScrambleError
+from .errors import ConfigError, NoiseScrambleError
 from .harness import (
     CSV_HEADER,
     EPSILON_PROXY_C,
@@ -122,8 +122,15 @@ def _write_plot_data(directory, family, n_qubits, epsilon, metric, fit, summarie
 def _cmd_alpha_scan(args) -> int:
     payload = read_json_object(args.config)
     qubit_counts = payload.pop("n_qubits_list", None)
-    if not qubit_counts:
-        raise NoiseScrambleError("alpha-scan config needs a non-empty 'n_qubits_list'")
+    if not (
+        isinstance(qubit_counts, list)
+        and qubit_counts
+        and all(type(n) is int and n > 0 for n in qubit_counts)
+    ):
+        raise ConfigError(
+            f"{args.config}: 'n_qubits_list' must be a non-empty list of positive integers,"
+            f" got {qubit_counts!r}"
+        )
     payload.setdefault("n_qubits", qubit_counts[0])
     base = _load_config(args, payload)
     metric = "W" if args.metric == "both" else args.metric
@@ -132,11 +139,11 @@ def _cmd_alpha_scan(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fits = {}
     for n_qubits in qubit_counts:
-        config = replace(base, n_qubits=int(n_qubits), epsilons=(proxy,))
+        config = replace(base, n_qubits=n_qubits, epsilons=(proxy,))
         rows_path = out_dir / f"rows_n{n_qubits}.csv"
         rows = run_sweep(config, out_path=rows_path)
         fit, _ = aggregate_and_fit(rows, metric)
-        fits[int(n_qubits)] = fit
+        fits[n_qubits] = fit
         print(f"n={n_qubits}: alpha={fit.alpha:.6g} beta={fit.beta:.6g}")
     table = alpha_by_qubits(fits)
     lines = ["n_qubits,alpha,beta"]

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import FitError
 
+_FLAT_TOL = 0.05  # relative alpha spread below which a scan counts as saturated
+
 
 def error_rate_prefactor(circuit_error_rate: float) -> float:
     """g(xi) = xi e^(-xi) / (1 - e^(-xi)), continued to g(0) = 1."""
@@ -89,23 +91,6 @@ def fit_scaling(samples) -> ScalingFit:
     )
 
 
-def small_rate_expansion(
-    alpha: float, beta: float, circuit_error_rate: float, nu: float = 1.0
-) -> tuple[float, float]:
-    """The model value next to its small-error-rate leading term alpha / nu^beta.
-
-    For xi in (0, 0.5] the two differ by at most about xi/2 relatively, so
-    the leading term is the whole story once the expected number of errors
-    is small.
-    """
-    xi = float(circuit_error_rate)
-    if xi <= 0.0 or not math.isfinite(xi):
-        raise ValueError(f"circuit error rate must be positive, got {xi!r}")
-    leading = alpha / nu**beta
-    exact = leading * error_rate_prefactor(xi)
-    return exact, leading
-
-
 @dataclass(frozen=True)
 class AlphaScanTable:
     """(n_qubits, alpha, beta) rows for the qubit-count dependence of alpha."""
@@ -114,15 +99,15 @@ class AlphaScanTable:
     saturated: bool
 
 
-def alpha_by_qubits(fits: Mapping[int, ScalingFit], *, flat_tol: float = 0.05) -> AlphaScanTable:
+def alpha_by_qubits(fits: Mapping[int, ScalingFit]) -> AlphaScanTable:
     """Tabulate fitted prefactors per qubit count and flag a flat trend.
 
     The scan is marked saturated when the relative spread of alpha across
-    all rows stays within ``flat_tol``.
+    all rows stays within 5%.
     """
     rows = tuple((n, fits[n].alpha, fits[n].beta) for n in sorted(fits))
     saturated = False
     if len(rows) >= 2:
         alphas = np.array([a for _, a, _ in rows])
-        saturated = float(alphas.max() - alphas.min()) <= flat_tol * float(alphas.max())
+        saturated = float(alphas.max() - alphas.min()) <= _FLAT_TOL * float(alphas.max())
     return AlphaScanTable(rows=rows, saturated=saturated)

@@ -9,19 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .errors import HamiltonianParseError, InvalidSizeError, ShapeError
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -53,30 +45,8 @@ class PauliString:
         """True when the operator is diagonal in the computational basis."""
         return all(c in "IZ" for c in self.ops)
 
-    def matrix(self) -> np.ndarray:
-        """Dense 2^N x 2^N matrix of the full string."""
-        return reduce(np.kron, (PAULI_MATRICES[c] for c in self.ops))
-
-    def support_matrix(self) -> np.ndarray:
-        """Dense matrix on the non-identity qubits only (2^weight square)."""
-        factors = [PAULI_MATRICES[c] for c in self.ops if c != "I"]
-        if not factors:
-            return np.eye(1, dtype=complex)
-        return reduce(np.kron, factors)
-
     def __str__(self) -> str:
         return self.ops
-
-
-def apply_pauli_string(psi: np.ndarray, pauli: PauliString) -> np.ndarray:
-    """Apply a Pauli string to a state vector, one 2x2 factor at a time."""
-    n = pauli.n_qubits
-    if psi.size != 2**n:
-        raise ShapeError(f"state has dimension {psi.size}, expected {2**n}")
-    t = psi.reshape((2,) * n)
-    for q in pauli.support:
-        t = np.moveaxis(np.tensordot(PAULI_MATRICES[pauli.ops[q]], t, axes=([1], [q])), 0, q)
-    return t.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -127,9 +97,6 @@ class PauliTermHamiltonian:
             self.n_qubits, tuple(t for t in self.terms if not t[1].is_diagonal())
         )
 
-    def total_abs_coeff(self) -> float:
-        return float(sum(abs(c) for c, _ in self.terms))
-
     def diagonal_vector(self) -> np.ndarray:
         """Diagonal of the dense matrix, valid only for diagonal Hamiltonians."""
         d = 2**self.n_qubits
@@ -144,20 +111,6 @@ class PauliTermHamiltonian:
                 signs *= 1.0 - 2.0 * bit
             diag += coeff * signs
         return diag
-
-    def to_matrix(self) -> np.ndarray:
-        d = 2**self.n_qubits
-        out = np.zeros((d, d), dtype=complex)
-        for coeff, pauli in self.terms:
-            out += coeff * pauli.matrix()
-        return out
-
-    def expectation(self, psi: np.ndarray) -> float:
-        """<psi|H|psi> for a normalised state vector."""
-        total = 0.0
-        for coeff, pauli in self.terms:
-            total += coeff * np.vdot(psi, apply_pauli_string(psi, pauli)).real
-        return float(total)
 
 
 def _single_site(n: int, q: int, op: str) -> PauliString:

@@ -118,24 +118,6 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: {exc}") from None
 
-    def to_dict(self) -> dict:
-        payload = {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "family": self.family,
-            "n_qubits": self.n_qubits,
-            "epsilons": list(self.epsilons),
-            "layers": list(self.layers),
-            "parameter_mode": self.parameter_mode,
-            "seeds": list(self.seeds),
-            "seed": self.seed,
-            "sparse_terms_per_layer": self.sparse_terms_per_layer,
-        }
-        if self.hamiltonian_file is not None:
-            payload["hamiltonian_file"] = self.hamiltonian_file
-        if self.out is not None:
-            payload["out"] = self.out
-        return payload
-
 
 @dataclass(frozen=True)
 class ResultRow:

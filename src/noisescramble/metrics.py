@@ -30,6 +30,9 @@ from .errors import (
 from .simulator import DensityMatrix
 
 _PURITY_TOL = 1e-12  # above 1 - this, the dominant eigenvalue counts as 1
+_CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped to 0
+# lambda_1 - F is a difference of two O(1) numbers; below this it is rounding
+_GAP_FLOOR = 1e2 * np.finfo(float).eps
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -61,10 +64,10 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
 
 
-def eigendecompose(rho, psi_id: np.ndarray | None = None, *, clamp_tol: float = 1e-10) -> SpectralDecomposition:
+def eigendecompose(rho, psi_id: np.ndarray | None = None) -> SpectralDecomposition:
     """Descending spectrum of a density matrix, with no eigenvectors.
 
-    Tiny negative eigenvalues (within ``clamp_tol`` of zero) are clamped
+    Tiny negative eigenvalues (within 1e-10 of zero) are clamped
     to zero and the spectrum renormalised to unit sum. ``psi_id``, when
     given, is only checked to be a normalised vector of matching size.
     """
@@ -76,20 +79,18 @@ def eigendecompose(rho, psi_id: np.ndarray | None = None, *, clamp_tol: float = 
     if psi_id is not None:
         _check_vector(psi_id, mat.shape[0])
     vals = np.linalg.eigvalsh(mat)
-    if vals[0] < -clamp_tol:
-        raise InvalidStateError(f"eigenvalue {vals[0]:.3e} below -{clamp_tol:.0e}")
+    if vals[0] < -_CLAMP_TOL:
+        raise InvalidStateError(f"eigenvalue {vals[0]:.3e} below -{_CLAMP_TOL:.0e}")
     vals = np.clip(vals[::-1], 0.0, None)
     return SpectralDecomposition(eigenvalues=vals / vals.sum())
 
 
-def eigenvalue_uniformity(decomposition, *, full_dim_reference: bool = False) -> float:
+def eigenvalue_uniformity(decomposition) -> float:
     """Half the l1 distance between the non-dominant spectrum and uniform.
 
     The non-dominant eigenvalues are renormalised by 1 - lambda_1 and
-    compared against the uniform distribution over the d - 1 error slots
-    (or over d slots with ``full_dim_reference=True``, the variant that
-    appears in the trace-distance derivation). Zero means the error
-    spectrum is exactly flat, i.e. global white noise.
+    compared against the uniform distribution over the d - 1 error slots.
+    Zero means the error spectrum is exactly flat, i.e. global white noise.
     """
     lam = np.asarray(getattr(decomposition, "eigenvalues", decomposition), dtype=float)
     lam1 = lam[0]
@@ -97,10 +98,8 @@ def eigenvalue_uniformity(decomposition, *, full_dim_reference: bool = False) ->
         raise DegenerateStateError(
             "dominant eigenvalue is 1 within tolerance, uniformity undefined"
         )
-    d = lam.size
-    reference = 1.0 / d if full_dim_reference else 1.0 / (d - 1)
     p_err = lam[1:] / (1.0 - lam1)
-    return float(0.5 * np.abs(p_err - reference).sum())
+    return float(0.5 * np.abs(p_err - 1.0 / (lam.size - 1)).sum())
 
 
 def trace_distance(a, b) -> float:
@@ -119,22 +118,6 @@ def commutator_matrix(rho, psi_id: np.ndarray) -> np.ndarray:
     return 1j * (np.outer(psi, w.conj()) - np.outer(w, psi.conj()))
 
 
-def commutator_norm(rho, psi_id: np.ndarray) -> tuple[float, float]:
-    """Trace norm of [rho_ideal, rho], absolute and relative to 1 - lambda_1.
-
-    The absolute norm is the eigenvalue sum of the Hermitian matrix
-    i[rho_ideal, rho]. The relative form divides by 1 - lambda_1 and is
-    undefined for (numerically) pure states.
-    """
-    absolute = float(np.abs(np.linalg.eigvalsh(commutator_matrix(rho, psi_id))).sum())
-    lam1 = float(eigendecompose(rho, psi_id).eigenvalues[0])
-    if lam1 >= 1.0 - _PURITY_TOL:
-        raise DegenerateStateError(
-            "dominant eigenvalue is 1 within tolerance, relative commutator norm undefined"
-        )
-    return absolute, absolute / (1.0 - lam1)
-
-
 def variance(rho, psi_id: np.ndarray) -> float:
     """<psi| rho^2 |psi> - F^2 as ||rho psi - F psi||^2, which does not cancel near a pure state."""
     mat = _as_matrix(rho)
@@ -144,30 +127,12 @@ def variance(rho, psi_id: np.ndarray) -> float:
     return float(np.vdot(residual, residual).real)
 
 
-def commutator_norm_from_variance(rho, psi_id: np.ndarray) -> float:
-    """Independent route to the trace norm of the commutator, 2 sqrt(Var)."""
-    return 2.0 * math.sqrt(variance(rho, psi_id))
-
-
 @dataclass
 class WhiteNoiseState:
     """eta |psi><psi| + (1 - eta) Id/d, the global-depolarising reference."""
 
     eta: float
-    ideal: np.ndarray
     data: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def expected_fidelity(self) -> float:
-        return self.eta + (1.0 - self.eta) / self.dim
-
-    def density_matrix(self) -> DensityMatrix:
-        n = int(round(np.log2(self.dim)))
-        return DensityMatrix(n, self.data)
 
 
 def build_white_noise_state(psi: np.ndarray, eta: float) -> WhiteNoiseState:
@@ -177,7 +142,7 @@ def build_white_noise_state(psi: np.ndarray, eta: float) -> WhiteNoiseState:
     psi = _check_vector(psi)
     d = psi.size
     data = eta * np.outer(psi, psi.conj()) + (1.0 - eta) * np.eye(d) / d
-    return WhiteNoiseState(eta=float(eta), ideal=psi, data=data)
+    return WhiteNoiseState(eta=float(eta), data=data)
 
 
 def bias_bound(observable: np.ndarray, rho, psi_id: np.ndarray, eta: float) -> tuple[float, float]:
@@ -220,19 +185,6 @@ class ArrowheadForm:
     offdiag: np.ndarray
     diag: np.ndarray
     transform: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size + 1
-
-    def arrowhead_matrix(self) -> np.ndarray:
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        out[0, 0] = self.corner
-        out[0, 1:] = self.offdiag
-        out[1:, 0] = self.offdiag
-        out[np.arange(1, d), np.arange(1, d)] = self.diag
-        return out
 
 
 def arrowhead_transform(rho, psi_id: np.ndarray) -> ArrowheadForm:
@@ -303,17 +255,30 @@ class GapBound:
 
 
 def dominant_eigenvalue_gap(rho, psi_id: np.ndarray) -> GapBound:
-    """lambda_1 - F together with its commutator-norm bound when applicable."""
+    """lambda_1 - F together with its commutator-norm bound when applicable.
+
+    Where the bound applies, the gap is the secular sum
+    sum_k offdiag_k^2 / (lambda_1 - diag_k) of the arrowhead form, whose
+    terms are all non-negative, so it keeps its relative precision however
+    close rho is to pure. Elsewhere it is the difference lambda_1 - F of two
+    O(1) numbers, and a difference below 1e2 * eps_mach (about 2e-14) is
+    rounding noise, reported as 0.0.
+    """
     mat = _as_matrix(rho)
     psi = _check_vector(psi_id, mat.shape[0])
     lam1 = float(eigendecompose(mat, psi).eigenvalues[0])
-    gap = max(lam1 - fidelity(mat, psi), 0.0)
+    gap = lam1 - fidelity(mat, psi)
+    if gap < _GAP_FLOOR:
+        gap = 0.0
     if lam1 <= 0.5 + 1e-9:
         return GapBound(gap=gap, bound=math.nan, bound_applicable=False)
     bound = variance(mat, psi) / (2.0 * lam1 - 1.0)
-    diag_max = float(arrowhead_transform(mat, psi).diag.max())
-    applicable = diag_max <= 1.0 - lam1 + 1e-12
-    return GapBound(gap=gap, bound=bound, bound_applicable=applicable)
+    form = arrowhead_transform(mat, psi)
+    if form.diag.max() > 1.0 - lam1 + 1e-12:
+        return GapBound(gap=gap, bound=bound, bound_applicable=False)
+    # every diag_k <= 1 - lambda_1 < lambda_1, so lambda_1 is a secular root
+    gap = float(np.sum(form.offdiag**2 / (lam1 - form.diag)))
+    return GapBound(gap=gap, bound=bound, bound_applicable=True)
 
 
 def white_noise_distance_identity(

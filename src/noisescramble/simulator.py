@@ -224,34 +224,12 @@ class DensityMatrix:
         return 2**self.n_qubits
 
     @classmethod
-    def basis_state(cls, n_qubits: int, index: int = 0) -> "DensityMatrix":
+    def basis_state(cls, n_qubits: int) -> "DensityMatrix":
+        """The pure state |0...0><0...0|."""
         d = 2**n_qubits
         data = np.zeros((d, d), dtype=complex)
-        data[index, index] = 1.0
+        data[0, 0] = 1.0
         return cls(n_qubits, data)
-
-    @classmethod
-    def from_statevector(cls, psi: np.ndarray) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        n = int(round(np.log2(psi.size)))
-        if 2**n != psi.size:
-            raise ShapeError(f"state vector length {psi.size} is not a power of two")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-            raise InvalidStateError("state vector is not normalised within 1e-10")
-        return cls(n, np.outer(psi, psi.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        d = 2**n_qubits
-        return cls(n_qubits, np.eye(d, dtype=complex) / d)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.data)[0])
-
-    def validate_psd(self, tol: float = 1e-10) -> None:
-        smallest = self.min_eigenvalue()
-        if smallest < -tol:
-            raise InvalidStateError(f"smallest eigenvalue {smallest:.3e} below -{tol:.0e}")
 
 
 def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
@@ -432,37 +410,6 @@ def _fused_ops(program: CircuitProgram):
     yield from pending
 
 
-def _check_support(gate: Gate, n_qubits: int) -> None:
-    if max(gate.qubits) >= n_qubits:
-        raise InvalidGateError(
-            f"gate {gate.kind} on {gate.qubits} exceeds {n_qubits} qubits"
-        )
-
-
-def apply_unitary(state: DensityMatrix, gate: Gate) -> DensityMatrix:
-    """Return U rho U^dagger for the gate's unitary embedded on its support."""
-    n = state.n_qubits
-    _check_support(gate, n)
-    t = state.data.reshape((2,) * (2 * n))
-    t = _conjugate(t, gate.matrix(), gate.qubits, n)
-    return DensityMatrix(n, np.reshape(t, (state.dim, state.dim)))
-
-
-def apply_depolarising(state: DensityMatrix, qubit: int, rate: float) -> DensityMatrix:
-    """Mix the state on one qubit with the maximally mixed qubit state.
-
-    rho -> (1 - p) rho + p (tr_q rho) (x) Id/2, re-embedded at the qubit.
-    """
-    if not (math.isfinite(rate) and 0.0 <= rate <= 1.0):
-        raise InvalidRateError(f"depolarising rate {rate!r} outside [0, 1]")
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise InvalidGateError(f"qubit {qubit} out of range for {n} qubits")
-    t = state.data.reshape((2,) * (2 * n))
-    t = _apply_matrix(t, _depolarising_map(rate), (qubit, n + qubit))
-    return DensityMatrix(n, np.reshape(t, (state.dim, state.dim)))
-
-
 def _resymmetrise(tensor: np.ndarray, d: int, n: int) -> np.ndarray:
     m = np.ascontiguousarray(tensor).reshape(d, d)
     m = 0.5 * (m + m.conj().T)
@@ -513,7 +460,8 @@ def run_ideal(program: CircuitProgram, initial: np.ndarray) -> np.ndarray:
     return np.reshape(t, -1)
 
 
-def basis_statevector(n_qubits: int, index: int = 0) -> np.ndarray:
+def basis_statevector(n_qubits: int) -> np.ndarray:
+    """The state vector |0...0>."""
     psi = np.zeros(2**n_qubits, dtype=complex)
-    psi[index] = 1.0
+    psi[0] = 1.0
     return psi

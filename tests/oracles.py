@@ -73,3 +73,19 @@ def statevector_run(program, psi):
     for gate in program.gates:
         psi = full_gate_unitary(gate, program.n_qubits) @ psi
     return psi
+
+
+def hamiltonian_matrix(hamiltonian):
+    """Dense matrix of a Pauli-term Hamiltonian, one Kronecker product per term."""
+    n = hamiltonian.n_qubits
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for coeff, pauli in hamiltonian.terms:
+        out += coeff * embed({q: PAULI[pauli.ops[q]] for q in pauli.support}, n)
+    return out
+
+
+def commutator_trace_norm(rho, psi):
+    """Trace norm of [|psi><psi|, rho], the eigenvalue sum of i[|psi><psi|, rho]."""
+    rho = np.asarray(getattr(rho, "data", rho), dtype=complex)
+    half = np.outer(psi, np.conj(psi)) @ rho
+    return float(np.abs(np.linalg.eigvalsh(1j * (half - half.conj().T))).sum())

@@ -22,9 +22,8 @@ from noisescramble import (
     bias_bound,
     build_sel_circuit,
     build_white_noise_state,
-    commutator_norm_from_variance,
-    commutator_matrix,
     arrowhead_transform,
+    compute_spectral_report,
     eigendecompose,
     eigenvalue_uniformity,
     error_rate_prefactor,
@@ -37,7 +36,7 @@ from noisescramble import (
 )
 
 from .conftest import random_density_matrix, random_statevector, random_traceless_hermitian
-from .oracles import kraus_run
+from .oracles import commutator_trace_norm, kraus_run
 
 
 def _check(criterion, description, passed, detail=""):
@@ -65,8 +64,7 @@ def test_criterion_01_white_noise_fixed_point():
         eta = float(rng.uniform(0.1, 0.99))
         wn = build_white_noise_state(psi, eta)
         worst_w = max(worst_w, eigenvalue_uniformity(eigendecompose(wn.data, psi)))
-        comm = float(np.abs(np.linalg.eigvalsh(commutator_matrix(wn.data, psi))).sum())
-        worst_comm = max(worst_comm, comm)
+        worst_comm = max(worst_comm, commutator_trace_norm(wn.data, psi))
     elapsed = time.perf_counter() - started
     _check(
         1,
@@ -81,8 +79,8 @@ def test_criterion_02_dual_route_commutator():
     worst = 0.0
     for _ in range(100):
         rho, psi = _noisy_sel(rng, 3, (1, 2, 3), 0.01, 0.2)
-        trace_route = float(np.abs(np.linalg.eigvalsh(commutator_matrix(rho, psi))).sum())
-        variance_route = commutator_norm_from_variance(rho, psi)
+        trace_route = commutator_trace_norm(rho, psi)
+        variance_route = compute_spectral_report(rho, psi).commutator_abs
         worst = max(worst, abs(trace_route - variance_route) / max(trace_route, variance_route))
     _check(
         2,

@@ -11,7 +11,6 @@ from noisescramble import (
     error_rate_prefactor,
     fit_scaling,
     scaling_model,
-    small_rate_expansion,
 )
 
 
@@ -98,27 +97,29 @@ class TestFitScaling:
 
 
 class TestSmallRateExpansion:
+    """scaling_model against its small-error-rate leading term alpha / nu^beta."""
+
+    @staticmethod
+    def _exact_and_leading(alpha, beta, xi, nu=1.0):
+        return float(scaling_model(nu, alpha, beta, xi)), alpha / nu**beta
+
     def test_ratio_approaches_one(self):
-        exact, leading = small_rate_expansion(2.0, 0.5, 1e-9, nu=100)
+        exact, leading = self._exact_and_leading(2.0, 0.5, 1e-9, nu=100)
         assert abs(exact / leading - 1.0) < 1e-8
 
     def test_hand_value(self):
-        exact, leading = small_rate_expansion(1.0, 0.0, 0.1)
+        exact, leading = self._exact_and_leading(1.0, 0.0, 0.1)
         assert abs(exact / leading - 0.9508) < 1e-4
 
     def test_half_rate_window(self):
-        exact, leading = small_rate_expansion(1.0, 0.0, 0.5)
+        exact, leading = self._exact_and_leading(1.0, 0.0, 0.5)
         assert 0.7 <= exact / leading <= 1.0
 
     def test_linear_error_bound(self):
         # |exact - leading| <= 2 xi leading across the small-rate window
         for xi in np.linspace(1e-4, 0.5, 50):
-            exact, leading = small_rate_expansion(3.0, 0.7, float(xi), nu=50)
+            exact, leading = self._exact_and_leading(3.0, 0.7, float(xi), nu=50)
             assert abs(exact - leading) <= 2.0 * xi * leading
-
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            small_rate_expansion(1.0, 0.5, 0.0)
 
 
 class TestAlphaByQubits:
@@ -137,3 +138,7 @@ class TestAlphaByQubits:
     def test_growing_alphas_not_saturated(self):
         table = alpha_by_qubits({4: self._fit(1.0), 6: self._fit(2.0)})
         assert not table.saturated
+
+    def test_five_percent_spread_is_saturated(self):
+        assert alpha_by_qubits({4: self._fit(1.96), 6: self._fit(2.0)}).saturated
+        assert not alpha_by_qubits({4: self._fit(1.88), 6: self._fit(2.0)}).saturated

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from noisescramble import (
     write_rows,
 )
 from noisescramble.cli import main as cli_main
+from noisescramble.harness import CONFIG_SCHEMA_VERSION
 
 from .conftest import REPO_ROOT
 
@@ -36,15 +38,20 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def config_payload(config):
+    """The JSON object of a config file that loads back as ``config``."""
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclasses.asdict(config)}
+
+
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path):
         config = small_config()
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config.to_dict()))
+        path.write_text(json.dumps(config_payload(config)))
         assert ExperimentConfig.from_json(path) == config
 
     def test_schema_version_enforced(self, tmp_path):
-        payload = small_config().to_dict()
+        payload = config_payload(small_config())
         payload["schema_version"] = 99
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
@@ -277,7 +284,7 @@ class TestCli:
 
     def test_sweep_deterministic_csv(self, tmp_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(small_config(layers=(1, 2), seeds=(0, 1)).to_dict()))
+        config_path.write_text(json.dumps(config_payload(small_config(layers=(1, 2), seeds=(0, 1)))))
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli_main(["sweep", "--config", str(config_path), "--out", str(out_a)]) == 0
         assert cli_main(["sweep", "--config", str(config_path), "--out", str(out_b)]) == 0
@@ -291,7 +298,7 @@ class TestCli:
     def test_sweep_epsilon_proxy_substitution(self, tmp_path):
         config = small_config(epsilons=(0.0,), layers=(1,), seeds=(0,))
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config.to_dict()))
+        config_path.write_text(json.dumps(config_payload(config)))
         out = tmp_path / "rows.csv"
         assert (
             cli_main(
@@ -330,7 +337,7 @@ class TestCli:
         assert points[0].read_text().splitlines()[0] == "nu,mean,stderr,fit_value"
 
     def test_alpha_scan(self, tmp_path, capsys):
-        payload = small_config(layers=(2, 4, 8), seeds=(0, 1)).to_dict()
+        payload = config_payload(small_config(layers=(2, 4, 8), seeds=(0, 1)))
         payload["n_qubits_list"] = [3, 4]
         payload["epsilons"] = [0.0]
         config_path = tmp_path / "scan.json"
@@ -352,6 +359,18 @@ class TestCli:
             code = cli_main(["alpha-scan", "--config", str(config_path), "--out", str(tmp_path)])
             assert code == 1
             assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "qubit_counts", [5, [4, "x"], [0]], ids=["int", "non-int-entry", "zero-entry"]
+    )
+    def test_alpha_scan_rejects_malformed_qubit_list(self, tmp_path, capsys, qubit_counts):
+        payload = config_payload(small_config())
+        payload["n_qubits_list"] = qubit_counts
+        config_path = tmp_path / "scan.json"
+        config_path.write_text(json.dumps(payload))
+        code = cli_main(["alpha-scan", "--config", str(config_path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -15,8 +15,6 @@ from noisescramble import (
     bias_bound,
     build_sel_circuit,
     build_white_noise_state,
-    commutator_norm,
-    commutator_norm_from_variance,
     compute_spectral_report,
     dominant_eigenvalue_gap,
     eigendecompose,
@@ -31,6 +29,7 @@ from noisescramble import (
 )
 
 from .conftest import random_density_matrix, random_statevector, random_traceless_hermitian
+from .oracles import commutator_trace_norm
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 
@@ -42,6 +41,13 @@ def example_mixture():
     return DensityMatrix(1, rho)
 
 
+def arrowhead_matrix(form):
+    """The matrix with the form's corner, border and diagonal, zero elsewhere."""
+    out = np.diag(np.concatenate(([form.corner], form.diag))).astype(complex)
+    out[0, 1:] = out[1:, 0] = form.offdiag
+    return out
+
+
 def noisy_sel_state(seed, n_qubits=3, layers=2, eps=0.1):
     prog = build_sel_circuit(AnsatzSpec("SEL", n_qubits, layers, seed=seed)).with_noise(eps)
     rho = run_circuit(prog, DensityMatrix.basis_state(n_qubits))
@@ -51,7 +57,7 @@ def noisy_sel_state(seed, n_qubits=3, layers=2, eps=0.1):
 
 class TestEigendecompose:
     def test_maximally_mixed(self):
-        dec = eigendecompose(DensityMatrix.maximally_mixed(2))
+        dec = eigendecompose(np.eye(4) / 4)
         assert np.allclose(dec.eigenvalues, 0.25)
 
     def test_white_noise_closed_form(self):
@@ -70,6 +76,12 @@ class TestEigendecompose:
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidStateError):
             eigendecompose(m)
+
+    def test_rounding_negatives_clamped_larger_rejected(self):
+        dec = eigendecompose(np.diag([1.0 + 1e-11, -1e-11]))
+        assert np.array_equal(dec.eigenvalues, [1.0, 0.0])
+        with pytest.raises(InvalidStateError):
+            eigendecompose(np.diag([1.0 + 1e-9, -1e-9]))
 
 
 class TestUniformity:
@@ -103,13 +115,6 @@ class TestUniformity:
         lam2[2] -= 0.01
         assert eigenvalue_uniformity(lam2) > 1e-4
 
-    def test_full_dim_variant(self):
-        lam = np.array([0.7, 0.3, 0.0, 0.0])
-        w_default = eigenvalue_uniformity(lam)
-        w_full = eigenvalue_uniformity(lam, full_dim_reference=True)
-        assert abs(w_full - 0.625) < 1e-12  # reference 1/4 instead of 1/3
-        assert w_full != w_default
-
 
 class TestTraceDistance:
     def test_identical_states(self, rng):
@@ -132,24 +137,27 @@ class TestTraceDistance:
 
 
 class TestCommutatorNorm:
+    """The report's C_abs = 2 sqrt(Var) against the eigvalsh oracle."""
+
     def test_white_noise_commutes(self, rng):
         psi = random_statevector(rng, 8)
         wn = build_white_noise_state(psi, 0.4)
-        absolute, _ = commutator_norm(wn.data, psi)
-        assert absolute < 1e-10
+        assert commutator_trace_norm(wn.data, psi) < 1e-10
+        assert compute_spectral_report(wn.data, psi).commutator_abs < 1e-10
 
     def test_hand_example(self):
         rho = example_mixture()
-        absolute, relative = commutator_norm(rho, E0)
-        assert abs(absolute - 0.5) < 1e-12
-        assert abs(relative - (2.0 + np.sqrt(2.0))) < 1e-10
+        report = compute_spectral_report(rho, E0)
+        assert abs(commutator_trace_norm(rho, E0) - 0.5) < 1e-12
+        assert abs(report.commutator_abs - 0.5) < 1e-12
+        assert abs(report.commutator_rel - (2.0 + np.sqrt(2.0))) < 1e-10
         assert abs(variance(rho, E0) - 0.0625) < 1e-12
 
     def test_dual_route_agreement(self, rng):
         for seed in range(10):
             rho, psi = noisy_sel_state(seed)
-            a, _ = commutator_norm(rho, psi)
-            b = commutator_norm_from_variance(rho, psi)
+            a = commutator_trace_norm(rho, psi)
+            b = compute_spectral_report(rho, psi).commutator_abs
             assert abs(a - b) / max(a, b) < 1e-8
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-7])
@@ -158,14 +166,15 @@ class TestCommutatorNorm:
         # variance route must still match the eigvalsh route.
         for seed in range(5):
             rho, psi = noisy_sel_state(seed, n_qubits=6, layers=8, eps=eps)
-            a, _ = commutator_norm(rho, psi)
-            b = commutator_norm_from_variance(rho, psi)
+            a = commutator_trace_norm(rho, psi)
+            b = compute_spectral_report(rho, psi).commutator_abs
             assert abs(a - b) / a <= 1e-6
-            assert compute_spectral_report(rho, psi).commutator_abs == b
+            assert b == 2.0 * np.sqrt(variance(rho, psi))
 
     def test_pure_state_relative_rejected(self):
-        with pytest.raises(DegenerateStateError):
-            commutator_norm(DensityMatrix.basis_state(1).data, E0)
+        report = compute_spectral_report(DensityMatrix.basis_state(1), E0)
+        assert report.commutator_rel is None
+        assert report.degenerate_reason == "noiseless"
 
 
 class TestWhiteNoiseState:
@@ -194,7 +203,7 @@ class TestWhiteNoiseState:
     def test_fidelity_relation(self, rng):
         psi = random_statevector(rng, 8)
         wn = build_white_noise_state(psi, 0.81)
-        assert abs(fidelity(wn.data, psi) - wn.expected_fidelity) < 1e-12
+        assert abs(fidelity(wn.data, psi) - (0.81 + 0.19 / 8)) < 1e-12
 
     def test_unnormalised_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -253,7 +262,7 @@ class TestArrowhead:
         rho, psi = noisy_sel_state(3)
         form = arrowhead_transform(rho, psi)
         rotated = form.transform @ rho.data @ form.transform.conj().T
-        assert np.abs(rotated - form.arrowhead_matrix()).max() < 1e-10
+        assert np.abs(rotated - arrowhead_matrix(form)).max() < 1e-10
 
     def test_corner_is_fidelity(self, rng):
         rho, psi = noisy_sel_state(4)
@@ -263,7 +272,7 @@ class TestArrowhead:
     def test_spectrum_preserved(self, rng):
         rho, psi = noisy_sel_state(5)
         form = arrowhead_transform(rho, psi)
-        lam_arrow = np.linalg.eigvalsh(form.arrowhead_matrix())
+        lam_arrow = np.linalg.eigvalsh(arrowhead_matrix(form))
         lam_rho = np.linalg.eigvalsh(rho.data)
         assert np.abs(np.sort(lam_arrow) - np.sort(lam_rho)).max() < 1e-10
 
@@ -325,8 +334,7 @@ class TestDominantEigenvalueGap:
         assert not result.bound_applicable
 
     def test_low_dominance_signalled(self):
-        rho = DensityMatrix.maximally_mixed(1)
-        result = dominant_eigenvalue_gap(rho, E0)
+        result = dominant_eigenvalue_gap(np.eye(2) / 2, E0)
         assert np.isnan(result.bound)
         assert not result.bound_applicable
         assert result.gap >= 0.0
@@ -337,6 +345,35 @@ class TestDominantEigenvalueGap:
             result = dominant_eigenvalue_gap(rho, psi)
             if result.bound_applicable:
                 assert result.gap <= result.bound + 1e-12
+
+    def test_rounding_gap_reported_as_zero(self, rng):
+        # psi is the top eigenvector, so lambda_1 = F exactly; lambda_1 <= 1/2
+        # leaves the gap to the difference of two rounded O(1) numbers
+        for _ in range(20):
+            basis, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+            lam = np.array([0.45, 0.35] + [0.2 / 6] * 6)
+            rho = (basis * lam) @ basis.conj().T
+            result = dominant_eigenvalue_gap(0.5 * (rho + rho.conj().T), basis[:, 0])
+            assert not result.bound_applicable
+            assert result.gap == 0.0
+
+    def test_gap_matches_eigh_oracle(self):
+        # at eps 1e-3 lambda_1 - F is about 1e-6, well above rounding
+        for seed in range(10):
+            rho, psi = noisy_sel_state(seed, n_qubits=4, layers=2, eps=1e-3)
+            result = dominant_eigenvalue_gap(rho, psi)
+            lam1 = scipy.linalg.eigh(rho.data, eigvals_only=True)[-1]
+            assert result.gap == pytest.approx(lam1 - fidelity(rho, psi), rel=1e-8)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7])
+    def test_bound_holds_with_no_slack_at_tiny_rate(self, eps):
+        # lambda_1 - F is rounding noise here; it must not exceed the bound
+        for n_qubits in (3, 4, 5):
+            for seed in range(20):
+                rho, psi = noisy_sel_state(seed, n_qubits=n_qubits, layers=2, eps=eps)
+                result = dominant_eigenvalue_gap(rho, psi)
+                if result.bound_applicable:
+                    assert result.gap <= result.bound, (n_qubits, seed)
 
 
 class TestWhiteNoiseDistanceIdentity:

@@ -13,8 +13,6 @@ from noisescramble import (
     InvalidStateError,
     NoiseSpec,
     ShapeError,
-    apply_depolarising,
-    apply_unitary,
     basis_statevector,
     run_circuit,
     run_ideal,
@@ -64,20 +62,33 @@ class TestGate:
             Gate.rotation_x(0, float("nan"))
 
 
+def _run_one_gate(state, gate, per_gate_error=0.0):
+    program = CircuitProgram(state.n_qubits, (gate,)).with_noise(per_gate_error)
+    return run_circuit(program, state)
+
+
+def _depolarise(state, qubit, rate):
+    """The partial-replace channel at ``rate`` on one qubit, as the noise of an
+    identity rotation at per-gate error 3 rate / 4."""
+    return _run_one_gate(state, Gate.rotation_z(qubit, 0.0), 0.75 * rate)
+
+
 class TestApplyUnitary:
+    """One noiseless gate through run_circuit."""
+
     def test_rz_leaves_zero_state_unchanged(self):
         state = DensityMatrix.basis_state(1)
-        out = apply_unitary(state, Gate.rotation_z(0, 1.234))
+        out = _run_one_gate(state, Gate.rotation_z(0, 1.234))
         assert np.abs(out.data - state.data).max() < 1e-15
 
     def test_hadamard_on_zero_gives_plus(self):
-        out = apply_unitary(DensityMatrix.basis_state(1), Gate.hadamard(0))
+        out = _run_one_gate(DensityMatrix.basis_state(1), Gate.hadamard(0))
         assert np.abs(out.data - 0.5 * np.ones((2, 2))).max() < 1e-15
 
     def test_cnot_on_10_gives_11(self):
         # oracle: direct 4x4 matrix multiplication
-        state = DensityMatrix.basis_state(2, index=2)
-        out = apply_unitary(state, Gate.cnot(0, 1))
+        state = DensityMatrix(2, np.diag([0.0, 0.0, 1.0, 0.0]))
+        out = _run_one_gate(state, Gate.cnot(0, 1))
         cnot = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
@@ -87,44 +98,46 @@ class TestApplyUnitary:
 
     def test_out_of_range_qubit_rejected(self):
         with pytest.raises(InvalidGateError):
-            apply_unitary(DensityMatrix.basis_state(1), Gate.hadamard(1))
+            CircuitProgram(1, (Gate.hadamard(1),))
 
     def test_spectrum_preserved(self, rng):
         from .conftest import random_density_matrix
 
         state = DensityMatrix(2, random_density_matrix(rng, 4))
-        out = apply_unitary(state, Gate.pauli_exponential("XY", 0.7))
+        out = _run_one_gate(state, Gate.pauli_exponential("XY", 0.7))
         assert np.allclose(
             np.linalg.eigvalsh(out.data), np.linalg.eigvalsh(state.data), atol=1e-12
         )
 
 
 class TestApplyDepolarising:
+    """The per-qubit channel (1 - p) rho + p tr_q(rho) (x) Id/2 of run_circuit."""
+
     def test_zero_rate_is_identity(self, rng):
         from .conftest import random_density_matrix
 
         state = DensityMatrix(2, random_density_matrix(rng, 4))
-        out = apply_depolarising(state, 1, 0.0)
+        out = _depolarise(state, 1, 0.0)
         assert np.abs(out.data - state.data).max() < 1e-15
 
     def test_full_rate_gives_maximally_mixed_qubit(self):
-        out = apply_depolarising(DensityMatrix.basis_state(1), 0, 1.0)
+        out = _depolarise(DensityMatrix.basis_state(1), 0, 1.0)
         assert np.abs(out.data - np.eye(2) / 2).max() < 1e-15
 
     def test_half_rate_on_plus_state(self):
         # oracle: direct 2x2 algebra, (1-p)|+><+| + p Id/2
-        plus = DensityMatrix.from_statevector(np.array([1, 1]) / np.sqrt(2))
-        out = apply_depolarising(plus, 0, 0.5)
+        plus = DensityMatrix(1, 0.5 * np.ones((2, 2)))
+        out = _depolarise(plus, 0, 0.5)
         expected = 0.5 * plus.data + 0.5 * np.eye(2) / 2
         assert np.abs(out.data - expected).max() < 1e-14
         assert np.allclose(np.linalg.eigvalsh(out.data), [0.25, 0.75], atol=1e-14)
 
     def test_rate_outside_unit_interval_rejected(self):
-        state = DensityMatrix.basis_state(1)
+        program = CircuitProgram(1, (Gate.hadamard(0),))
         with pytest.raises(InvalidRateError):
-            apply_depolarising(state, 0, 1.5)
+            program.with_noise(1.5)
         with pytest.raises(InvalidRateError):
-            apply_depolarising(state, 0, -0.1)
+            program.with_noise(-0.1)
 
     def test_channel_composition(self, rng):
         # p1 then p2 equals a single application at 1 - (1-p1)(1-p2)
@@ -132,15 +145,15 @@ class TestApplyDepolarising:
 
         state = DensityMatrix(3, random_density_matrix(rng, 8))
         p1, p2 = 0.23, 0.41
-        twice = apply_depolarising(apply_depolarising(state, 1, p1), 1, p2)
-        once = apply_depolarising(state, 1, 1.0 - (1.0 - p1) * (1.0 - p2))
+        twice = _depolarise(_depolarise(state, 1, p1), 1, p2)
+        once = _depolarise(state, 1, 1.0 - (1.0 - p1) * (1.0 - p2))
         assert np.abs(twice.data - once.data).max() < 1e-12
 
     def test_trace_and_hermiticity_preserved(self, rng):
         from .conftest import random_density_matrix
 
         state = DensityMatrix(2, random_density_matrix(rng, 4))
-        out = apply_depolarising(state, 0, 0.37)
+        out = _depolarise(state, 0, 0.37)
         assert abs(np.trace(out.data).real - 1.0) < 1e-12
         assert np.abs(out.data - out.data.conj().T).max() < 1e-13
 
@@ -282,16 +295,6 @@ class TestDensityMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(ShapeError):
             DensityMatrix(2, np.eye(2, dtype=complex) / 2)
-
-    def test_from_statevector_round_trip(self, rng):
-        from .conftest import random_statevector
-
-        psi = random_statevector(rng, 8)
-        dm = DensityMatrix.from_statevector(psi)
-        assert abs(float(np.vdot(psi, dm.data @ psi).real) - 1.0) < 1e-12
-
-    def test_psd_validation(self):
-        DensityMatrix.maximally_mixed(2).validate_psd()
 
 
 def _mixed_program(rng, n_qubits, n_gates):
