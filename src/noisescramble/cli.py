@@ -105,17 +105,13 @@ def _write_plot_data(directory, family, n_qubits, epsilon, metric, fit, summarie
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stem = f"{family}_n{n_qubits}_eps{epsilon:g}_{metric}".replace("/", "-")
-    points = ["nu,mean,stderr,fit_value"]
-    for summary in summaries:
-        fitted = float(fit.predict(summary.nu, epsilon * summary.nu))
-        points.append(
-            f"{summary.nu},{summary.mean:.17g},{summary.stderr:.17g},{fitted:.17g}"
-        )
+    points = ["nu,mean,stderr,fit_value"] + [
+        f"{s.nu},{s.mean:.17g},{s.stderr:.17g},{float(fit.predict(s.nu, epsilon * s.nu)):.17g}"
+        for s in summaries
+    ]
     (directory / f"{stem}_points.csv").write_text("\n".join(points) + "\n", encoding="utf-8")
     nus = np.geomspace(min(s.nu for s in summaries), max(s.nu for s in summaries), 50)
-    curve = ["nu,fit_value"]
-    for nu in nus:
-        curve.append(f"{nu:.17g},{float(fit.predict(nu, epsilon * nu)):.17g}")
+    curve = ["nu,fit_value"] + [f"{x:.17g},{float(fit.predict(x, epsilon * x)):.17g}" for x in nus]
     (directory / f"{stem}_curve.csv").write_text("\n".join(curve) + "\n", encoding="utf-8")
 
 
@@ -146,9 +142,7 @@ def _cmd_alpha_scan(args) -> int:
         fits[n_qubits] = fit
         print(f"n={n_qubits}: alpha={fit.alpha:.6g} beta={fit.beta:.6g}")
     table = alpha_by_qubits(fits)
-    lines = ["n_qubits,alpha,beta"]
-    for n_qubits, alpha, beta in table.rows:
-        lines.append(f"{n_qubits},{alpha:.17g},{beta:.17g}")
+    lines = ["n_qubits,alpha,beta"] + [f"{n},{a:.17g},{b:.17g}" for n, a, b in table.rows]
     (out_dir / f"alpha_scan_{metric}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"trend: {'saturated' if table.saturated else 'varying'}")
     return 0
@@ -191,10 +185,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except NoiseScrambleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NoiseScrambleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,7 @@ from .hamiltonians import (
     load_hamiltonian_file,
 )
 from .metrics import compute_spectral_report
-from .simulator import CircuitProgram, DensityMatrix, basis_statevector, run_circuit, run_ideal
+from .simulator import CircuitProgram, DensityMatrix, _evolve, basis_statevector
 
 CONFIG_SCHEMA_VERSION = 1
 CSV_SCHEMA_VERSION = 1
@@ -102,6 +102,11 @@ class ExperimentConfig:
         for field in ("family", "n_qubits", "epsilons", "layers"):
             if field not in payload:
                 raise ConfigError(f"{source}: missing field {field!r}")
+        for field in ("n_qubits", "layers", "seeds", "seed", "sparse_terms_per_layer"):
+            values = payload.get(field)
+            for value in values if isinstance(values, list) else [values]:
+                if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+                    raise ConfigError(f"{source}: {field} must hold integers, got {value!r}")
         try:
             return cls(
                 family=payload["family"],
@@ -224,8 +229,9 @@ def _compute_row(
         file_hamiltonian=file_hamiltonian,
     ).with_noise(epsilon)
     started = time.perf_counter()
-    rho = run_circuit(program, DensityMatrix.basis_state(config.n_qubits))
-    psi = run_ideal(program, basis_statevector(config.n_qubits))
+    rho, psi = _evolve(
+        program, DensityMatrix.basis_state(config.n_qubits), basis_statevector(config.n_qubits)
+    )
     eta_est = _no_error_probability(epsilon, program.gate_count)
     report = compute_spectral_report(rho, psi, eta_estimate=eta_est)
     elapsed = time.perf_counter() - started
@@ -247,21 +253,17 @@ def _compute_row(
     )
 
 
-def check_feasible(n_qubits: int) -> None:
-    if n_qubits > MAX_QUBITS:
-        raise ResourceError(
-            f"{n_qubits} qubits needs a dense {4**n_qubits}-entry matrix; "
-            f"the dense backend is capped at {MAX_QUBITS} qubits"
-        )
-
-
 def run_sweep(config: ExperimentConfig, out_path=None) -> list[ResultRow]:
     """Simulate every (epsilon, depth, seed) grid point of a configuration.
 
     Rows are computed and returned in grid order and, when ``out_path`` is
     given, also appended to the CSV as soon as each is done.
     """
-    check_feasible(config.n_qubits)
+    if config.n_qubits > MAX_QUBITS:
+        raise ResourceError(
+            f"{config.n_qubits} qubits needs a dense {4**config.n_qubits}-entry matrix; "
+            f"the dense backend is capped at {MAX_QUBITS} qubits"
+        )
     file_hamiltonian = None
     if config.family == "HVA-SPARSE":
         if config.hamiltonian_file is None:

@@ -27,7 +27,7 @@ from .errors import (
     PoleError,
     ShapeError,
 )
-from .simulator import DensityMatrix
+from .simulator import DensityMatrix, _check_vector
 
 _PURITY_TOL = 1e-12  # above 1 - this, the dominant eigenvalue counts as 1
 _CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped to 0
@@ -39,15 +39,6 @@ def _as_matrix(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
         return state.data
     return np.asarray(state, dtype=complex)
-
-
-def _check_vector(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if dim is not None and psi.size != dim:
-        raise ShapeError(f"state vector has dimension {psi.size}, expected {dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise InvalidStateError("state vector is not normalised within 1e-10")
-    return psi
 
 
 def fidelity(rho, psi: np.ndarray) -> float:

@@ -8,7 +8,11 @@ independent single-qubit depolarising channel acts on every support qubit
 at a rate chosen so the probability that the whole gate is error-free is
 exactly 1 - epsilon.
 
-``run_circuit`` turns each noisy gate on k <= 2 qubits into one
+One walk over the program (``_evolve``) builds each gate's matrix once and
+feeds it both to the ideal state vector and to the fused kernel for the
+noisy state; ``run_circuit`` and ``run_ideal`` are wrappers over it. Pauli
+strings' signed permutations and ``_apply_matrix``'s axis orders are
+cached. The fused kernel turns each noisy gate on k <= 2 qubits into one
 superoperator D(p)^(x k) o (U (x) U*) on the gate's (row, column) axis
 pairs and fuses consecutive gates into one map while their joint support
 has at most two qubits, moving a gate back past ops on other qubits. A gate
@@ -22,23 +26,20 @@ into it, so the kernel holds O(N) small maps however long the circuit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidGateError,
-    InvalidRateError,
-    InvalidStateError,
-    ShapeError,
-)
+from .errors import InvalidGateError, InvalidRateError, InvalidStateError, ShapeError
 from .hamiltonians import PauliString
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+_IDENTITIES: dict[int, np.ndarray] = {}  # read-only, by dimension, for _pauli_tables
 
 # Re-symmetrise the evolving matrix about this often, in program gates, to
 # suppress float drift.
@@ -92,8 +93,7 @@ class Gate:
     @classmethod
     def pauli_exponential(cls, pauli, angle: float) -> "Gate":
         """exp(-i * angle * P) for a Pauli string P (full angle, no half)."""
-        ops = pauli.ops if isinstance(pauli, PauliString) else str(pauli)
-        ops = PauliString(ops).ops
+        ops = PauliString(str(pauli)).ops
         support = tuple(i for i, c in enumerate(ops) if c != "I")
         if not support:
             raise InvalidGateError("identity Pauli string generates only a global phase")
@@ -115,26 +115,32 @@ class Gate:
         if self.kind == "cnot":
             return _CNOT.copy()
         if self.kind == "pauli_exp":
-            return _pauli_exp_matrix(self.pauli, self.angle)
+            identity, flat, odd = _pauli_tables(self.pauli)
+            coef = -1j * (1, 1j, -1, -1j)[self.pauli.count("Y") % 4] * math.sin(self.angle)
+            u = math.cos(self.angle) * identity
+            u.reshape(-1)[flat] += np.array([coef, -coef])[odd]
+            return u
         raise InvalidGateError(f"unknown gate kind {self.kind!r}")
 
 
-def _pauli_exp_matrix(pauli: str, angle: float) -> np.ndarray:
-    """cos(t) Id - i sin(t) P, with P applied as a signed permutation.
+@functools.lru_cache(maxsize=None)
+def _pauli_tables(pauli: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables for cos(t) Id - i sin(t) P: Id, and P as a signed permutation.
 
     P maps |j> to i^(#Y) (-1)^|j & zy| |j ^ xy>, where xy (zy) marks the
     qubits carrying X or Y (Z or Y), qubit 0 in the most significant bit.
+    The tables are Id (shared by all strings of one weight), the flat
+    positions (j ^ xy, j) of P's entries, and whether each is negated.
     """
-    xy = zy = 0
-    for c in pauli:
-        xy = 2 * xy + (c in "XY")
-        zy = 2 * zy + (c in "YZ")
+    xy = int("".join("1" if c in "XY" else "0" for c in pauli), 2)
+    zy = int("".join("1" if c in "YZ" else "0" for c in pauli), 2)
     dim = 2 ** len(pauli)
-    coef = -1j * (1, 1j, -1, -1j)[pauli.count("Y") % 4] * math.sin(angle)
-    u = math.cos(angle) * np.eye(dim, dtype=complex)
-    for j in range(dim):
-        u[j ^ xy, j] += -coef if (j & zy).bit_count() & 1 else coef
-    return u
+    j = np.arange(dim)
+    odd = np.array([(i & zy).bit_count() % 2 for i in range(dim)])
+    tables = (_IDENTITIES.setdefault(dim, np.eye(dim, dtype=complex)), (j ^ xy) * dim + j, odd)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -232,24 +238,29 @@ class DensityMatrix:
         return cls(n_qubits, data)
 
 
-def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+def _check_vector(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """The state vector flattened, checked to be normalised and, given ``dim``, of that size."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if dim is not None and psi.size != dim:
+        raise ShapeError(f"state vector has dimension {psi.size}, expected {dim}")
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise InvalidStateError("state vector is not normalised within 1e-10")
+    return psi
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_orders(axes: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose moving ``axes`` to the front, and its inverse."""
+    order = (*axes, *[a for a in range(ndim) if a not in axes])
+    return order, tuple(sorted(range(ndim), key=order.__getitem__))
+
+
+def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Contract a 2^k x 2^k matrix into the given k axes of a qubit tensor."""
-    order = [*axes, *[a for a in range(tensor.ndim) if a not in axes]]
+    order, inverse = _axis_orders(axes, tensor.ndim)
     moved = tensor.transpose(order)
     out = (mat @ moved.reshape(mat.shape[1], -1)).reshape(moved.shape)
-    inverse = sorted(range(len(order)), key=order.__getitem__)
     return out.transpose(inverse)
-
-
-def _conjugate(tensor: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
-    """U rho U^dagger: U on the row axes, then U* on the column axes."""
-    tensor = _apply_matrix(tensor, mat, qubits)
-    return _apply_matrix(tensor, mat.conj(), [n + q for q in qubits])
-
-
-def _pair_axes(qubits, n: int) -> list[int]:
-    """The (row, column) axis pairs of the qubits, in the order r1 c1 r2 c2."""
-    return [axis for q in qubits for axis in (q, n + q)]
 
 
 # Superoperators act on a qubit's (row, column) index pair, flattened as
@@ -342,37 +353,39 @@ class _Op:
         self.gates += gates
 
     def apply(self, tensor: np.ndarray, n: int) -> np.ndarray:
-        if len(self.qubits) > 2:
-            return _conjugate(tensor, self.matrix, self.qubits, n)
-        return _apply_matrix(tensor, self.matrix, _pair_axes(self.qubits, n))
+        if len(self.qubits) <= 2:  # on the (row, column) axis pairs, r1 c1 r2 c2
+            axes = tuple([axis for q in self.qubits for axis in (q, n + q)])
+            return _apply_matrix(tensor, self.matrix, axes)
+        # U rho U^dagger: U on the row axes, then U* on the column axes
+        tensor = _apply_matrix(tensor, self.matrix, self.qubits)
+        return _apply_matrix(tensor, self.matrix.conj(), tuple([n + q for q in self.qubits]))
 
 
-def _fused_ops(program: CircuitProgram):
+def _fused_ops(program: CircuitProgram, matrices):
     """Yield the program's noisy gates as fused ops, in an order that is exact.
 
-    A gate on k <= 2 qubits becomes the map D(p)^(x k) o (U (x) U*), where D
-    is the per-qubit depolarising channel. It is composed into the latest op
-    touching its support when their joint support has at most two qubits;
-    the ops after that one act on other qubits, so the gate commutes past
-    them. A wider gate becomes a bare unitary op followed by one D map per
-    support qubit, and later gates fuse into those maps.
+    ``matrices`` yields the gates' unitaries in order. A gate on k <= 2
+    qubits becomes the map D(p)^(x k) o (U (x) U*), where D is the per-qubit
+    depolarising channel. It is composed into the latest op touching its
+    support when their joint support has at most two qubits; the ops after
+    that one act on other qubits, so the gate commutes past them. A wider
+    gate becomes a bare unitary op followed by one D map per support qubit,
+    and later gates fuse into those maps.
 
     Once every qubit of an op has a later op, no later gate can merge into
     it: it is yielded, after the earlier held ops it overlaps, which are
     sealed against later merges. Every op still held is then the latest on
     one of its qubits, so at most 2n ops are held at any time.
     """
-    n = program.n_qubits
     noise = program.noise
     noise_maps = {}
     pending: list[_Op] = []
-    latest: list[_Op | None] = [None] * n
+    latest: list[_Op | None] = [None] * program.n_qubits
     order = 0
-    for gate in program.gates:
+    for gate, mat in zip(program.gates, matrices):
         k = len(gate.qubits)
         if k not in noise_maps:
             noise_maps[k] = _depolarising_map(noise.per_qubit_replace_rate(k))
-        mat = gate.matrix()
         if k <= 2:
             steps = [(gate.qubits, _noisy_gate_map(mat, noise_maps[k]), 1)]
         else:
@@ -416,6 +429,45 @@ def _resymmetrise(tensor: np.ndarray, d: int, n: int) -> np.ndarray:
     return m.reshape((2,) * (2 * n))
 
 
+def _evolve(program: CircuitProgram, initial: DensityMatrix | None, psi: np.ndarray | None):
+    """The noisy output state and the ideal output vector, from one walk over the gates.
+
+    Each gate's matrix is built once, applied to ``psi`` and fed to the fused
+    kernel that evolves ``initial``. A start state given as None stays None.
+    """
+    n = program.n_qubits
+    if initial is not None and initial.n_qubits != n:
+        raise ShapeError(f"program has {n} qubits, state has {initial.n_qubits}")
+    if psi is not None:
+        psi = _check_vector(psi, 2**n).reshape((2,) * n)
+
+    def matrices():
+        nonlocal psi
+        for gate in program.gates:
+            mat = gate.matrix()
+            if psi is not None:
+                psi = _apply_matrix(psi, mat, gate.qubits)
+            yield mat
+
+    rho = None
+    if initial is None:
+        for _ in matrices():
+            pass
+    else:
+        d, t = initial.dim, initial.data.reshape((2,) * (2 * n))
+        # Counted in program gates; an op is applied whole, so the state is
+        # Hermitian whenever it is resymmetrised.
+        unsymmetrised = 0
+        for op in _fused_ops(program, matrices()):
+            t = op.apply(t, n)
+            unsymmetrised += op.gates
+            if unsymmetrised >= _RESYMMETRISE_EVERY:
+                t = _resymmetrise(t, d, n)
+                unsymmetrised = 0
+        rho = DensityMatrix(n, _resymmetrise(t, d, n).reshape(d, d))
+    return rho, None if psi is None else psi.reshape(-1)
+
+
 def run_circuit(program: CircuitProgram, initial: DensityMatrix) -> DensityMatrix:
     """Evolve a density matrix through the program's noisy gates in order.
 
@@ -426,38 +478,12 @@ def run_circuit(program: CircuitProgram, initial: DensityMatrix) -> DensityMatri
     (generally pure) state. The gates are applied as fused ops (see
     ``_fused_ops``), which changes the result only by rounding.
     """
-    if program.n_qubits != initial.n_qubits:
-        raise ShapeError(
-            f"program has {program.n_qubits} qubits, state has {initial.n_qubits}"
-        )
-    n = program.n_qubits
-    d = initial.dim
-    t = np.array(initial.data, dtype=complex).reshape((2,) * (2 * n))
-    # Counted in program gates; an op is applied whole, so the state is
-    # Hermitian whenever it is resymmetrised.
-    unsymmetrised = 0
-    for op in _fused_ops(program):
-        t = op.apply(t, n)
-        unsymmetrised += op.gates
-        if unsymmetrised >= _RESYMMETRISE_EVERY:
-            t = _resymmetrise(t, d, n)
-            unsymmetrised = 0
-    m = np.ascontiguousarray(t).reshape(d, d)
-    return DensityMatrix(n, 0.5 * (m + m.conj().T))
+    return _evolve(program, initial, None)[0]
 
 
 def run_ideal(program: CircuitProgram, initial: np.ndarray) -> np.ndarray:
     """Noise-free state-vector simulation of the same gate sequence."""
-    psi = np.asarray(initial, dtype=complex).reshape(-1)
-    n = program.n_qubits
-    if psi.size != 2**n:
-        raise ShapeError(f"state has dimension {psi.size}, program expects {2**n}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise InvalidStateError("initial state vector is not normalised within 1e-10")
-    t = psi.reshape((2,) * n)
-    for gate in program.gates:
-        t = _apply_matrix(t, gate.matrix(), gate.qubits)
-    return np.reshape(t, -1)
+    return _evolve(program, None, initial)[1]
 
 
 def basis_statevector(n_qubits: int) -> np.ndarray:

@@ -1,19 +1,29 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from noisescramble import (
     ConfigError,
+    DensityMatrix,
     EPSILON_PROXY_C,
     EPSILON_PROXY_W,
     ExperimentConfig,
     FitError,
+    Gate,
     ResourceError,
+    ResultRow,
     aggregate_and_fit,
+    basis_statevector,
+    build_program,
+    compute_spectral_report,
     derive_seed,
+    load_hamiltonian_file,
     read_rows,
+    run_circuit,
+    run_ideal,
     run_sweep,
     substitute_zero_epsilons,
     write_rows,
@@ -80,6 +90,33 @@ class TestExperimentConfig:
         assert w_only.epsilons == (EPSILON_PROXY_W, 0.01)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_qubits", 4.7),
+            ("n_qubits", True),
+            ("layers", [2.9, True]),
+            ("layers", [2, True]),
+            ("seeds", [0, 1.5]),
+            ("seed", True),
+            ("seed", 0.5),
+            ("sparse_terms_per_layer", 2.5),
+        ],
+    )
+    def test_non_integers_rejected(self, field, value):
+        payload = config_payload(small_config())
+        payload[field] = value
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict(payload)
+
+    def test_integral_floats_accepted(self):
+        payload = config_payload(small_config())
+        payload.update(n_qubits=3.0, layers=[1.0, 2])
+        config = ExperimentConfig.from_dict(payload)
+        assert config.n_qubits == 3 and config.layers == (1, 2)
+        assert all(type(v) is int for v in (config.n_qubits, *config.layers))
+
+
 class TestDeriveSeed:
     def test_stable(self):
         assert derive_seed(1, "SEL", 6, 0.01, 0, 0) == derive_seed(1, "SEL", 6, 0.01, 0, 0)
@@ -139,6 +176,92 @@ class TestRunSweep:
         parsed = read_rows(out)
         assert len(parsed) == len(rows) == 2
         assert parsed[0].uniformity == pytest.approx(rows[0].uniformity)
+
+
+class TestOneEvolutionPass:
+    """run_sweep gets rho and psi from one walk that builds each gate once."""
+
+    @staticmethod
+    def _rows_from_separate_calls(config):
+        """The sweep's rows, from run_circuit, run_ideal and the report called one by one."""
+        file_hamiltonian = None
+        if config.hamiltonian_file is not None:
+            file_hamiltonian = load_hamiltonian_file(config.hamiltonian_file)
+        n = config.n_qubits
+        rows = []
+        for epsilon in config.epsilons:
+            for layer_index, n_layers in enumerate(config.layers):
+                for seed_index in config.seeds:
+                    row_seed = derive_seed(
+                        config.seed, config.family, n, epsilon, layer_index, seed_index
+                    )
+                    program = build_program(
+                        config,
+                        n_layers,
+                        ansatz_seed=derive_seed(row_seed, "ansatz"),
+                        hamiltonian_seed=derive_seed(row_seed, "hamiltonian"),
+                        file_hamiltonian=file_hamiltonian,
+                    ).with_noise(epsilon)
+                    rho = run_circuit(program, DensityMatrix.basis_state(n))
+                    psi = run_ideal(program, basis_statevector(n))
+                    eta = math.exp(program.gate_count * math.log1p(-epsilon))
+                    report = compute_spectral_report(rho, psi, eta_estimate=eta)
+                    rows.append(
+                        ResultRow(
+                            config.family, n, epsilon, program.gate_count, seed_index,
+                            report.uniformity, report.commutator_rel, report.commutator_abs,
+                            report.fidelity, report.lambda1, report.trace_dist_wn, eta,
+                            0.0, report.degenerate_reason,
+                        )
+                    )
+        return rows
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(
+                family="HVA-SPARSE",
+                n_qubits=4,
+                layers=(1, 3),
+                sparse_terms_per_layer=30,
+                hamiltonian_file=str(REPO_ROOT / "perfbench" / "data" / "toy_molecule_4q.txt"),
+            ),
+            dict(family="SEL", n_qubits=4, layers=(2, 5)),
+        ],
+        ids=["sparse4", "sel4"],
+    )
+    def test_rows_equal_separate_calls_exactly(self, overrides):
+        config = small_config(epsilons=(1e-8, 1e-3), seeds=(0, 1), **overrides)
+        if config.family == "HVA-SPARSE":
+            program = build_program(
+                config, 1, 0, 0, load_hamiltonian_file(config.hamiltonian_file)
+            )
+            assert {3, 4} <= {len(gate.qubits) for gate in program.gates}
+        rows = [dataclasses.replace(row, wall_time_seconds=0.0) for row in run_sweep(config)]
+        expected = self._rows_from_separate_calls(config)
+        assert len(rows) == 2 * 2 * 2
+        assert rows == expected
+
+    def test_each_gate_matrix_built_once_per_row(self, monkeypatch):
+        config = small_config(
+            family="HVA-SPARSE",
+            n_qubits=4,
+            layers=(2,),
+            seeds=(0,),
+            sparse_terms_per_layer=30,
+            hamiltonian_file=str(REPO_ROOT / "perfbench" / "data" / "toy_molecule_4q.txt"),
+        )
+        calls = []
+        original = Gate.matrix
+
+        def counting(gate):
+            calls.append(gate)
+            return original(gate)
+
+        monkeypatch.setattr(Gate, "matrix", counting)
+        (row,) = run_sweep(config)
+        assert row.nu > 0
+        assert len(calls) == row.nu
 
 
 class TestSweepTrends:
@@ -281,6 +404,17 @@ class TestCli:
         alpha, beta = float(fields[4]), float(fields[5])
         assert abs(alpha - 2.0) < 1e-9
         assert abs(beta - 0.5) < 1e-9
+
+    def test_sweep_rejects_non_integral_width(self, tmp_path, capsys):
+        payload = config_payload(small_config())
+        payload["n_qubits"] = 4.7
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_qubits" in err
+        assert not out.exists()
 
     def test_sweep_deterministic_csv(self, tmp_path):
         config_path = tmp_path / "config.json"

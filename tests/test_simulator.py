@@ -18,7 +18,7 @@ from noisescramble import (
     run_ideal,
 )
 from noisescramble.ansatz import AnsatzSpec, build_sel_circuit
-from noisescramble.simulator import _fused_ops
+from noisescramble.simulator import _fused_ops, _pauli_tables
 
 from .oracles import full_gate_unitary, kraus_run, statevector_run
 
@@ -317,6 +317,11 @@ def _mixed_program(rng, n_qubits, n_gates):
     return CircuitProgram(n_qubits, tuple(gates))
 
 
+def _fused_supports(program):
+    ops = _fused_ops(program, (gate.matrix() for gate in program.gates))
+    return [op.qubits for op in ops]
+
+
 class TestFusedKernel:
     """run_circuit fuses gates into <= 2-qubit superoperators; the Kraus
     oracle applies every gate and every error channel literally."""
@@ -353,7 +358,7 @@ class TestFusedKernel:
                 Gate.rotation_y(1, 0.4),
             ),
         )
-        supports = [op.qubits for op in _fused_ops(program)]
+        supports = _fused_supports(program)
         assert supports == [(3,), (0, 1), (1, 2), (3, 2)]
         self._check_against_oracle(program)
 
@@ -370,7 +375,7 @@ class TestFusedKernel:
                 Gate.cnot(0, 1),
             ),
         )
-        assert [op.qubits for op in _fused_ops(program)] == [(0, 1)]
+        assert _fused_supports(program) == [(0, 1)]
         self._check_against_oracle(program)
 
     def test_pauli_exponential_matrix_matches_expm(self):
@@ -395,3 +400,44 @@ class TestFusedKernel:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def _embedded(gate, n):
+    """The gate's unitary on n qubits: column j is the gate applied to |j>."""
+    program = CircuitProgram(n, (gate,))
+    return np.stack([run_ideal(program, column) for column in np.eye(2**n)], axis=1)
+
+
+class TestGateMatrixCaches:
+    """Gate.matrix builds Pauli exponentials from cached, read-only tables."""
+
+    def test_mutating_a_matrix_leaves_the_next_unchanged(self):
+        gates = (
+            Gate.pauli_exponential("XZY", 0.7),
+            Gate.pauli_exponential("ZZ", -1.9),
+            Gate.hadamard(0),
+            Gate.cnot(0, 1),
+            Gate.rotation_y(0, 0.3),
+        )
+        for gate in gates:
+            first = gate.matrix()
+            expected = first.copy()
+            first[...] = 99.0
+            assert np.array_equal(gate.matrix(), expected), gate.kind
+
+    def test_tables_are_read_only(self):
+        for table in _pauli_tables("XZY"):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.reshape(-1)[0] = 1
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_every_pauli_string_matches_expm(self, length):
+        strings = ["".join(ops) for ops in itertools.product("IXYZ", repeat=length)]
+        strings.remove("I" * length)
+        assert len(strings) == 4**length - 1
+        for ops in strings:
+            for angle in (0.83, -2.4):
+                gate = Gate.pauli_exponential(ops, angle)
+                expected = full_gate_unitary(gate, length)
+                assert np.abs(_embedded(gate, length) - expected).max() < 1e-14, ops
