@@ -1,23 +1,24 @@
 """Random strongly-entangling circuits scramble local noise into white noise.
 
 Sweeps 5-qubit SEL circuits at random parameters over a log-spaced range of
-gate counts, at a tiny stand-in error rate for the zero-noise limit. The
-eigenvalue uniformity W falls off as a power law in the gate count with an
-exponent near one half, and the commutator norm C sits well over an order
-of magnitude below it at every size: exactly the behaviour that makes
-purification-based error mitigation work so well on this family.
+gate counts, at EPSILON_PROXY, the package's stand-in rate for the
+zero-noise limit. The eigenvalue uniformity W falls off as a power law in
+the gate count with an exponent near one half. The commutator norm C falls
+about as fast and stays five to seven times below W at every size; the
+script prints the smallest W/C ratio it measured. A small C is what makes
+purification-based error mitigation work on this family.
 
-Runtime: about half a minute.
+Runtime: a few seconds.
 """
 
 import numpy as np
 
-from noisescramble import EPSILON_PROXY_C, ExperimentConfig, aggregate_and_fit, run_sweep
+from noisescramble import EPSILON_PROXY, ExperimentConfig, aggregate_and_fit, run_sweep
 
 config = ExperimentConfig(
     family="SEL",
     n_qubits=5,
-    epsilons=(EPSILON_PROXY_C,),  # proxy for the zero-noise limit of both metrics
+    epsilons=(EPSILON_PROXY,),  # the zero-noise limit of both metrics
     layers=(4, 8, 16, 32, 64, 128),
     parameter_mode="random",
     seeds=tuple(range(10)),
@@ -34,5 +35,10 @@ for sw, sc in zip(summary_w, summary_c):
 
 print(f"\nuniformity  : W ~ {fit_w.alpha:.3f} / nu^{fit_w.beta:.3f}  (rms log misfit {fit_w.residual:.3f})")
 print(f"commutator  : C ~ {fit_c.alpha:.3f} / nu^{fit_c.beta:.3f}  (rms log misfit {fit_c.residual:.3f})")
-print("\nthe uniformity exponent sits near 1/2, and the commutator norm is")
-print("more than an order of magnitude smaller at every size")
+
+w_means = np.array([s.mean for s in summary_w])
+ratios = w_means / np.array([s.mean for s in summary_c])
+falls = bool(np.all(np.diff(w_means) < 0))
+print(f"\nW {'falls' if falls else 'does not fall'} with every doubling of nu, "
+      f"with exponent {fit_w.beta:.2f}")
+print(f"C lies below W at every size, by a factor of {ratios.min():.1f} at the least")

@@ -3,22 +3,26 @@
 A Hamiltonian-variational circuit for a Heisenberg chain is simulated at a
 per-gate error rate of 1e-3, once with random gate parameters and once at
 the adiabatic (VQE) schedule that approaches the ground state. With random
-parameters the eigenvalue uniformity W decays with circuit size; at the
-VQE parameters the state stays far from white noise, yet the commutator
-norm stays small in both regimes, so purification-based mitigation keeps
-working where the white-noise rescaling breaks down.
+parameters the eigenvalue uniformity W decays fast with circuit size
+(about 0.70 -> 0.16 from 2 to 32 layers). At the VQE parameters it decays
+too, but slowly (about 0.70 -> 0.49), so the state stays far from white
+noise. The commutator norm C stays below W in both regimes, by a factor of
+about 9 at the least, so purification-based mitigation keeps working where
+the white-noise rescaling breaks down. The script prints the W trend and
+the smallest W/C ratio it measured in each regime.
 
-Runtime: about a minute.
+Runtime: a few seconds.
 """
 
 import numpy as np
 
 from noisescramble import ExperimentConfig, run_sweep
 
+LAYERS = (2, 4, 8, 16, 32)
+means = {"random": [], "vqe": []}
 print("        |   random parameters   |     VQE parameters")
 print(" layers |      W         C      |      W         C")
-for layers in (2, 4, 8, 16, 32):
-    values = {}
+for layers in LAYERS:
     for mode in ("random", "vqe"):
         config = ExperimentConfig(
             family="HVA-XXX",
@@ -30,13 +34,18 @@ for layers in (2, 4, 8, 16, 32):
             seed=3,
         )
         rows = run_sweep(config)
-        values[mode] = (
-            float(np.mean([r.uniformity for r in rows])),
-            float(np.mean([r.commutator_rel for r in rows])),
+        means[mode].append(
+            (
+                float(np.mean([r.uniformity for r in rows])),
+                float(np.mean([r.commutator_rel for r in rows])),
+            )
         )
-    rw, rc = values["random"]
-    vw, vc = values["vqe"]
+    (rw, rc), (vw, vc) = means["random"][-1], means["vqe"][-1]
     print(f" {layers:6d} | {rw:8.4f}  {rc:8.5f} | {vw:8.4f}  {vc:8.5f}")
 
-print("\nrandom parameters scramble noise (W falls); the VQE schedule does not,")
-print("but the commutator norm stays an order of magnitude below W in both regimes")
+print()
+for mode, label in (("random", "random parameters"), ("vqe", "VQE schedule")):
+    w, c = np.array(means[mode]).T
+    trend = "falls at every depth" if np.all(np.diff(w) < 0) else "does not fall at every depth"
+    print(f"{label:17s}: W {w[0]:.2f} -> {w[-1]:.2f} over {LAYERS[0]}-{LAYERS[-1]} layers "
+          f"({trend}); C below W by a factor of {(w / c).min():.1f} at the least")

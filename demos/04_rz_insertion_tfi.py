@@ -6,17 +6,17 @@ into white noise only slowly. Appending one parametrised Rz per qubit per
 layer (a generator outside the problem Hamiltonian) widens the algebra and
 visibly steepens the power-law decay of the uniformity.
 
-Runtime: about a minute.
+Runtime: a few seconds.
 """
 
-from noisescramble import EPSILON_PROXY_W, ExperimentConfig, aggregate_and_fit, run_sweep
+from noisescramble import EPSILON_PROXY, ExperimentConfig, aggregate_and_fit, run_sweep
 
 fits = {}
 for family in ("HVA-TFI", "HVA-TFI-RZ"):
     config = ExperimentConfig(
         family=family,
         n_qubits=6,
-        epsilons=(EPSILON_PROXY_W,),
+        epsilons=(EPSILON_PROXY,),
         layers=(4, 8, 16, 32, 64),
         parameter_mode="random",
         seeds=tuple(range(8)),

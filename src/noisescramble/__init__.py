@@ -50,8 +50,7 @@ from .hamiltonians import (
     load_hamiltonian_file,
 )
 from .harness import (
-    EPSILON_PROXY_C,
-    EPSILON_PROXY_W,
+    EPSILON_PROXY,
     ExperimentConfig,
     PerSizeSummary,
     ResultRow,
@@ -60,7 +59,6 @@ from .harness import (
     derive_seed,
     read_rows,
     run_sweep,
-    substitute_zero_epsilons,
     write_rows,
 )
 from .metrics import (

@@ -12,43 +12,37 @@ import numpy as np
 from .errors import ConfigError, NoiseScrambleError
 from .harness import (
     CSV_HEADER,
-    EPSILON_PROXY_C,
-    EPSILON_PROXY_W,
+    EPSILON_PROXY,
     ExperimentConfig,
     aggregate_and_fit,
     format_row,
     read_json_object,
     read_rows,
     run_sweep,
-    substitute_zero_epsilons,
 )
 from .fitting import alpha_by_qubits
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seeds", type=int, default=None, help="replace the config seed list with range(N)")
-    parser.add_argument("--epsilon-proxy-w", type=float, default=EPSILON_PROXY_W,
-                        help="stand-in error rate for the zero-noise limit of W")
-    parser.add_argument("--epsilon-proxy-c", type=float, default=EPSILON_PROXY_C,
-                        help="stand-in error rate for the zero-noise limit of C")
-    parser.add_argument("--metric", choices=("W", "C", "both"), default="both")
-
-
 def _load_config(args, payload: dict | None = None) -> ExperimentConfig:
-    """The ``--config`` file (or its already-read ``payload``) with ``--seeds`` applied."""
+    """The ``--config`` file (or its already-read ``payload``) with ``--seeds`` applied.
+
+    An epsilon of 0 stands for the zero-noise limit of W and C and is
+    simulated at ``EPSILON_PROXY``, in every command.
+    """
     if payload is None:
         config = ExperimentConfig.from_json(args.config)
     else:
         config = ExperimentConfig.from_dict(payload, source=str(args.config))
-    if args.seeds:
+    if args.seeds is not None:
+        if args.seeds < 1:
+            raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
         config = replace(config, seeds=tuple(range(args.seeds)))
-    return config
+    epsilons = tuple(dict.fromkeys(EPSILON_PROXY if e == 0.0 else e for e in config.epsilons))
+    return replace(config, epsilons=epsilons)
 
 
 def _cmd_sweep(args) -> int:
-    config = substitute_zero_epsilons(
-        _load_config(args), args.metric, args.epsilon_proxy_w, args.epsilon_proxy_c
-    )
+    config = _load_config(args)
     out = args.out or config.out
     if out is None:
         raise NoiseScrambleError("no output path: pass --out or set 'out' in the config")
@@ -129,22 +123,26 @@ def _cmd_alpha_scan(args) -> int:
         )
     payload.setdefault("n_qubits", qubit_counts[0])
     base = _load_config(args, payload)
-    metric = "W" if args.metric == "both" else args.metric
-    proxy = args.epsilon_proxy_w if metric == "W" else args.epsilon_proxy_c
+    if len(base.epsilons) != 1:
+        raise ConfigError(
+            f"{args.config}: alpha-scan fits one error rate, got epsilons {list(base.epsilons)}"
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fits = {}
+    metrics = ("W", "C") if args.metric == "both" else (args.metric,)
+    fits = {metric: {} for metric in metrics}
     for n_qubits in qubit_counts:
-        config = replace(base, n_qubits=n_qubits, epsilons=(proxy,))
-        rows_path = out_dir / f"rows_n{n_qubits}.csv"
-        rows = run_sweep(config, out_path=rows_path)
-        fit, _ = aggregate_and_fit(rows, metric)
-        fits[n_qubits] = fit
-        print(f"n={n_qubits}: alpha={fit.alpha:.6g} beta={fit.beta:.6g}")
-    table = alpha_by_qubits(fits)
-    lines = ["n_qubits,alpha,beta"] + [f"{n},{a:.17g},{b:.17g}" for n, a, b in table.rows]
-    (out_dir / f"alpha_scan_{metric}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"trend: {'saturated' if table.saturated else 'varying'}")
+        config = replace(base, n_qubits=n_qubits)
+        rows = run_sweep(config, out_path=out_dir / f"rows_n{n_qubits}.csv")
+        for metric, by_qubits in fits.items():
+            fit, _ = aggregate_and_fit(rows, metric)
+            by_qubits[n_qubits] = fit
+            print(f"n={n_qubits} {metric}: alpha={fit.alpha:.6g} beta={fit.beta:.6g}")
+    for metric, by_qubits in fits.items():
+        table = alpha_by_qubits(by_qubits)
+        lines = ["n_qubits,alpha,beta"] + [f"{n},{a:.17g},{b:.17g}" for n, a, b in table.rows]
+        (out_dir / f"alpha_scan_{metric}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"{metric} trend: {'saturated' if table.saturated else 'varying'}")
     return 0
 
 
@@ -154,11 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noisy-circuit sweeps and spectral scrambling metrics",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    seeds_help = "replace the config seed list with range(N)"
+    metric_choices = ("W", "C", "both")
 
     sweep = commands.add_parser("sweep", help="run an experiment config and write a rows CSV")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", default=None)
-    _add_common_flags(sweep)
+    sweep.add_argument("--seeds", type=int, default=None, help=seeds_help)
     sweep.set_defaults(handler=_cmd_sweep)
 
     metrics = commands.add_parser("metrics", help="one circuit, one spectral report")
@@ -168,14 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
     fit = commands.add_parser("fit", help="fit the scaling model to a rows CSV")
     fit.add_argument("--rows", required=True, help="rows CSV produced by sweep")
     fit.add_argument("--out", required=True, help="fit table CSV to write")
-    fit.add_argument("--metric", choices=("W", "C", "both"), default="both")
+    fit.add_argument("--metric", choices=metric_choices, default="both")
     fit.add_argument("--plot-data", default=None, help="directory for per-figure data files")
     fit.set_defaults(handler=_cmd_fit)
 
     scan = commands.add_parser("alpha-scan", help="sweep + fit over a list of qubit counts")
     scan.add_argument("--config", required=True, help="config with an extra n_qubits_list field")
     scan.add_argument("--out", required=True, help="output directory")
-    _add_common_flags(scan)
+    scan.add_argument("--seeds", type=int, default=None, help=seeds_help)
+    scan.add_argument("--metric", choices=metric_choices, default="both")
     scan.set_defaults(handler=_cmd_alpha_scan)
 
     return parser

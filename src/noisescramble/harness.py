@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .ansatz import (
@@ -40,10 +40,13 @@ CSV_SCHEMA_VERSION = 1
 # Dense density matrices only; 2^(2N) complex entries caps the width.
 MAX_QUBITS = 12
 
-# Default stand-ins for the zero-error limit, chosen small enough that the
-# spectral ratios are rate-independent but still well above float noise.
-EPSILON_PROXY_W = 1e-8
-EPSILON_PROXY_C = 1e-7
+# Stand-in for the zero-error limit of W and C: their O(epsilon) bias there
+# is below 1e-5 relative, and the spectrum is still well above float noise.
+EPSILON_PROXY = 1e-8
+
+# JSON number kinds of the numeric config fields; list fields hold several.
+_CONFIG_NUMBERS = {"n_qubits": int, "seed": int, "sparse_terms_per_layer": int}
+_CONFIG_LISTS = {"epsilons": float, "layers": int, "seeds": int}
 
 
 def read_json_object(path) -> dict:
@@ -55,6 +58,18 @@ def read_json_object(path) -> dict:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return payload
+
+
+def _config_number(source: str, field: str, value, kind: type):
+    """A JSON number as ``kind``, or ConfigError naming the field for anything else."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{source}: {field} must hold {noun}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -102,26 +117,20 @@ class ExperimentConfig:
         for field in ("family", "n_qubits", "epsilons", "layers"):
             if field not in payload:
                 raise ConfigError(f"{source}: missing field {field!r}")
-        for field in ("n_qubits", "layers", "seeds", "seed", "sparse_terms_per_layer"):
-            values = payload.get(field)
-            for value in values if isinstance(values, list) else [values]:
-                if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-                    raise ConfigError(f"{source}: {field} must hold integers, got {value!r}")
-        try:
-            return cls(
-                family=payload["family"],
-                n_qubits=int(payload["n_qubits"]),
-                epsilons=tuple(float(e) for e in payload["epsilons"]),
-                layers=tuple(int(l) for l in payload["layers"]),
-                parameter_mode=payload.get("parameter_mode", "random"),
-                seeds=tuple(int(s) for s in payload.get("seeds", range(10))),
-                seed=int(payload.get("seed", 0)),
-                sparse_terms_per_layer=int(payload.get("sparse_terms_per_layer", 100)),
-                hamiltonian_file=payload.get("hamiltonian_file"),
-                out=payload.get("out"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: {exc}") from None
+        values = {}
+        for field in fields(cls):
+            if field.name not in payload:
+                continue
+            value = payload[field.name]
+            if field.name in _CONFIG_LISTS:
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"{source}: {field.name} must be a list, got {value!r}")
+                kind = _CONFIG_LISTS[field.name]
+                value = tuple(_config_number(source, field.name, v, kind) for v in value)
+            elif field.name in _CONFIG_NUMBERS:
+                value = _config_number(source, field.name, value, _CONFIG_NUMBERS[field.name])
+            values[field.name] = value
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -419,25 +428,3 @@ def aggregate_and_fit(rows, metric_kind: str = "W") -> tuple[ScalingFit, list[Pe
     fit = fit_scaling(samples)
     return fit, summaries
 
-
-def substitute_zero_epsilons(
-    config: ExperimentConfig,
-    metric: str = "both",
-    proxy_w: float = EPSILON_PROXY_W,
-    proxy_c: float = EPSILON_PROXY_C,
-) -> ExperimentConfig:
-    """Replace exact-zero error rates with the metric's proxy rate(s).
-
-    The zero-rate limit of the spectral ratios is simulated at a tiny but
-    non-zero rate; which rate depends on the metric being studied.
-    """
-    if metric not in ("W", "C", "both"):
-        raise ConfigError(f"unknown metric {metric!r}, expected 'W', 'C' or 'both'")
-    substitution = {"W": (proxy_w,), "C": (proxy_c,), "both": (proxy_w, proxy_c)}[metric]
-    epsilons: list[float] = []
-    for epsilon in config.epsilons:
-        replacement = substitution if epsilon == 0.0 else (epsilon,)
-        for value in replacement:
-            if value not in epsilons:
-                epsilons.append(value)
-    return replace(config, epsilons=tuple(epsilons))

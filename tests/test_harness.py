@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ import pytest
 from noisescramble import (
     ConfigError,
     DensityMatrix,
-    EPSILON_PROXY_C,
-    EPSILON_PROXY_W,
+    EPSILON_PROXY,
     ExperimentConfig,
     FitError,
     Gate,
@@ -25,9 +25,9 @@ from noisescramble import (
     run_circuit,
     run_ideal,
     run_sweep,
-    substitute_zero_epsilons,
     write_rows,
 )
+from noisescramble.cli import build_parser
 from noisescramble.cli import main as cli_main
 from noisescramble.harness import CONFIG_SCHEMA_VERSION
 
@@ -82,14 +82,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(family="QAOA")
 
-    def test_zero_epsilon_substitution(self):
-        config = small_config(epsilons=(0.0, 0.01))
-        both = substitute_zero_epsilons(config, "both")
-        assert both.epsilons == (EPSILON_PROXY_W, EPSILON_PROXY_C, 0.01)
-        w_only = substitute_zero_epsilons(config, "W")
-        assert w_only.epsilons == (EPSILON_PROXY_W, 0.01)
-
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -101,6 +93,14 @@ class TestExperimentConfig:
             ("seed", True),
             ("seed", 0.5),
             ("sparse_terms_per_layer", 2.5),
+            ("epsilons", [True]),
+            ("epsilons", ["0.5"]),
+            ("epsilons", 0.5),
+            ("layers", "12"),
+            ("seeds", "01"),
+            ("n_qubits", "5"),
+            ("seed", "7"),
+            ("sparse_terms_per_layer", None),
         ],
     )
     def test_non_integers_rejected(self, field, value):
@@ -267,7 +267,7 @@ class TestOneEvolutionPass:
 class TestSweepTrends:
     def test_uniformity_declines_for_random_sel_at_tiny_rate(self):
         config = small_config(
-            n_qubits=5, epsilons=(EPSILON_PROXY_W,), layers=(4, 8, 16, 32),
+            n_qubits=5, epsilons=(EPSILON_PROXY,), layers=(4, 8, 16, 32),
             seeds=tuple(range(5)), seed=77,
         )
         rows = run_sweep(config)
@@ -276,6 +276,27 @@ class TestSweepTrends:
             by_nu.setdefault(row.nu, []).append(row.uniformity)
         means = [float(np.mean(by_nu[nu])) for nu in sorted(by_nu)]
         assert all(b < a for a, b in zip(means, means[1:]))
+
+
+class TestZeroNoiseProxy:
+    def test_proxy_rate_is_at_the_zero_noise_limit(self):
+        """W and C_rel at EPSILON_PROXY match the linear extrapolation to epsilon = 0.
+
+        Both metrics carry an O(epsilon) bias; on this program it is 4.4e-6
+        relative at 1e-8 and 4.4e-5 at 1e-7. One fixed circuit is noised at
+        each rate, since a sweep's row seeds hash the epsilon.
+        """
+        config = small_config(n_qubits=7, layers=(32,), seeds=(0,))
+        program = build_program(config, 32, ansatz_seed=0, hamiltonian_seed=0)
+
+        def metrics(epsilon):
+            noisy = program.with_noise(epsilon)
+            rho = run_circuit(noisy, DensityMatrix.basis_state(7))
+            report = compute_spectral_report(rho, run_ideal(noisy, basis_statevector(7)))
+            return np.array([report.uniformity, report.commutator_rel])
+
+        limit = (10 * metrics(1e-9) - metrics(1e-8)) / 9
+        np.testing.assert_allclose(metrics(EPSILON_PROXY), limit, rtol=1e-5, atol=0)
 
 
 class TestCsvRoundTrip:
@@ -374,8 +395,8 @@ class TestCli:
         assert code == 0
         assert "F=" in out and "W=" in out and "C_rel=" in out
 
-    def test_metrics_prints_first_sweep_row(self, tmp_path, capsys):
-        config = str(REPO_ROOT / "demos" / "configs" / "metrics_demo.json")
+    @staticmethod
+    def _assert_metrics_prints_first_sweep_row(config, tmp_path, capsys):
         assert cli_main(["metrics", "--config", config]) == 0
         printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
         out = tmp_path / "rows.csv"
@@ -385,6 +406,19 @@ class TestCli:
         assert len(printed) == 11
         for key, value in printed.items():
             assert value == first[key], key
+        return printed
+
+    def test_metrics_prints_first_sweep_row(self, tmp_path, capsys):
+        config = str(REPO_ROOT / "demos" / "configs" / "metrics_demo.json")
+        self._assert_metrics_prints_first_sweep_row(config, tmp_path, capsys)
+
+    def test_metrics_simulates_zero_epsilon_like_sweep(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config = small_config(epsilons=(0.0, 0.01), layers=(2,), seeds=(0,))
+        config_path.write_text(json.dumps(config_payload(config)))
+        printed = self._assert_metrics_prints_first_sweep_row(str(config_path), tmp_path, capsys)
+        assert float(printed["epsilon"]) == EPSILON_PROXY
+        assert not printed["W"].startswith("nan")
 
     def test_fit_round_trip_fixture(self, tmp_path, capsys):
         out = tmp_path / "fit.csv"
@@ -430,19 +464,28 @@ class TestCli:
             assert fields_a == fields_b
 
     def test_sweep_epsilon_proxy_substitution(self, tmp_path):
-        config = small_config(epsilons=(0.0,), layers=(1,), seeds=(0,))
+        config = small_config(epsilons=(0.0, EPSILON_PROXY, 0.01), layers=(1,), seeds=(0,))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_payload(config)))
         out = tmp_path / "rows.csv"
-        assert (
-            cli_main(
-                ["sweep", "--config", str(config_path), "--out", str(out), "--metric", "W"]
-            )
-            == 0
-        )
-        (row,) = read_rows(out)
-        assert row.epsilon == EPSILON_PROXY_W
-        assert row.uniformity is not None
+        assert cli_main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+        proxy_row, noisy_row = read_rows(out)
+        assert (proxy_row.epsilon, noisy_row.epsilon) == (EPSILON_PROXY, 0.01)
+        assert proxy_row.uniformity is not None and proxy_row.commutator_rel is not None
+
+    @pytest.mark.parametrize("command", ["sweep", "alpha-scan"])
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_rejected(self, tmp_path, capsys, command, seeds):
+        payload = config_payload(small_config())
+        payload["n_qubits_list"] = [3]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config_path), "--out", str(out), "--seeds", seeds]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seeds" in err
+        assert not out.exists()
 
     def test_fit_emits_plot_data(self, tmp_path):
         rows_path = tmp_path / "rows.csv"
@@ -477,14 +520,23 @@ class TestCli:
         config_path = tmp_path / "scan.json"
         config_path.write_text(json.dumps(payload))
         out_dir = tmp_path / "scan"
-        code = cli_main(
-            ["alpha-scan", "--config", str(config_path), "--out", str(out_dir), "--metric", "W"]
-        )
-        assert code == 0
-        table = (out_dir / "alpha_scan_W.csv").read_text().splitlines()
-        assert table[0] == "n_qubits,alpha,beta"
-        assert len(table) == 3
-        assert (out_dir / "rows_n3.csv").exists()
+        assert cli_main(["alpha-scan", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        for metric in ("W", "C"):
+            table = (out_dir / f"alpha_scan_{metric}.csv").read_text().splitlines()
+            assert table[0] == "n_qubits,alpha,beta"
+            assert len(table) == 3
+        assert {row.epsilon for row in read_rows(out_dir / "rows_n3.csv")} == {EPSILON_PROXY}
+
+    def test_alpha_scan_rejects_two_epsilons(self, tmp_path, capsys):
+        payload = config_payload(small_config(epsilons=(0.0, 0.01)))
+        payload["n_qubits_list"] = [3, 4]
+        config_path = tmp_path / "scan.json"
+        config_path.write_text(json.dumps(payload))
+        out_dir = tmp_path / "scan"
+        assert cli_main(["alpha-scan", "--config", str(config_path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epsilon" in err
+        assert not out_dir.exists()
 
     def test_alpha_scan_rejects_config_that_is_not_a_json_object(self, tmp_path, capsys):
         config_path = tmp_path / "scan.json"
@@ -510,3 +562,28 @@ class TestCli:
         missing = tmp_path / "missing.json"
         assert cli_main(["metrics", "--config", str(missing)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_readme_command_line_flags_exist(capsys):
+    """Every --flag in README's "Command line" section is an option of the command it is under."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = build_parser()
+    options = {}
+    command = None
+    named = 0
+    for line in section.splitlines():
+        match = re.match(r"(?:noisescramble |- `)([a-z-]+)", line)
+        if match:
+            command = match.group(1)
+        elif not line.startswith(" "):
+            command = None
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line):
+            assert command is not None, f"{flag} is not written under a command: {line!r}"
+            if command not in options:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, "--help"])
+                options[command] = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+            assert flag in options[command], f"{command} has no {flag}"
+            named += 1
+    assert named > 0
