@@ -26,18 +26,18 @@ config = ExperimentConfig(
 )
 rows = run_sweep(config)
 
-fit_w, summary_w = aggregate_and_fit(rows, "W")
-fit_c, summary_c = aggregate_and_fit(rows, "C")
+fit_w = aggregate_and_fit(rows, "W")
+fit_c = aggregate_and_fit(rows, "C")
 
 print("   nu      W (seed mean)    C (seed mean)    W/C")
-for sw, sc in zip(summary_w, summary_c):
-    print(f"{sw.nu:6d}   {sw.mean:12.5f}   {sc.mean:14.6f}   {sw.mean / sc.mean:6.1f}")
+for sw, sc in zip(fit_w.samples, fit_c.samples):
+    print(f"{sw.nu:6d}   {sw.value:12.5f}   {sc.value:14.6f}   {sw.value / sc.value:6.1f}")
 
 print(f"\nuniformity  : W ~ {fit_w.alpha:.3f} / nu^{fit_w.beta:.3f}  (rms log misfit {fit_w.residual:.3f})")
 print(f"commutator  : C ~ {fit_c.alpha:.3f} / nu^{fit_c.beta:.3f}  (rms log misfit {fit_c.residual:.3f})")
 
-w_means = np.array([s.mean for s in summary_w])
-ratios = w_means / np.array([s.mean for s in summary_c])
+w_means = np.array([s.value for s in fit_w.samples])
+ratios = w_means / np.array([s.value for s in fit_c.samples])
 falls = bool(np.all(np.diff(w_means) < 0))
 print(f"\nW {'falls' if falls else 'does not fall'} with every doubling of nu, "
       f"with exponent {fit_w.beta:.2f}")

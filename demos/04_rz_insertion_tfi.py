@@ -23,11 +23,11 @@ for family in ("HVA-TFI", "HVA-TFI-RZ"):
         seed=4,
     )
     rows = run_sweep(config)
-    fit, summary = aggregate_and_fit(rows, "W")
+    fit = aggregate_and_fit(rows, "W")
     fits[family] = fit
     print(f"\n{family}:")
-    for s in summary:
-        print(f"  nu={s.nu:5d}  W={s.mean:.4f}")
+    for s in fit.samples:
+        print(f"  nu={s.nu:5d}  W={s.value:.4f}")
     print(f"  fitted W ~ {fit.alpha:.3f} / nu^{fit.beta:.3f}")
 
 gain = fits["HVA-TFI-RZ"].beta - fits["HVA-TFI"].beta

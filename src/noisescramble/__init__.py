@@ -52,7 +52,6 @@ from .hamiltonians import (
 from .harness import (
     EPSILON_PROXY,
     ExperimentConfig,
-    PerSizeSummary,
     ResultRow,
     aggregate_and_fit,
     build_program,

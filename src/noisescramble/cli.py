@@ -83,28 +83,28 @@ def _cmd_fit(args) -> int:
     lines = ["family,n_qubits,epsilon,metric,alpha,beta,residual,n_points"]
     for (family, n_qubits, epsilon), group in sorted(_group_rows(rows).items()):
         for metric in metrics:
-            fit, summaries = aggregate_and_fit(group, metric)
+            fit = aggregate_and_fit(group, metric)
             lines.append(
                 f"{family},{n_qubits},{epsilon:.17g},{metric},"
-                f"{fit.alpha:.17g},{fit.beta:.17g},{fit.residual:.17g},{len(summaries)}"
+                f"{fit.alpha:.17g},{fit.beta:.17g},{fit.residual:.17g},{len(fit.samples)}"
             )
             if args.plot_data:
-                _write_plot_data(args.plot_data, family, n_qubits, epsilon, metric, fit, summaries)
+                _write_plot_data(args.plot_data, family, n_qubits, epsilon, metric, fit)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0
 
 
-def _write_plot_data(directory, family, n_qubits, epsilon, metric, fit, summaries) -> None:
+def _write_plot_data(directory, family, n_qubits, epsilon, metric, fit) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stem = f"{family}_n{n_qubits}_eps{epsilon:g}_{metric}".replace("/", "-")
     points = ["nu,mean,stderr,fit_value"] + [
-        f"{s.nu},{s.mean:.17g},{s.stderr:.17g},{float(fit.predict(s.nu, epsilon * s.nu)):.17g}"
-        for s in summaries
+        f"{s.nu},{s.value:.17g},{s.stderr:.17g},{float(fit.predict(s.nu, epsilon * s.nu)):.17g}"
+        for s in fit.samples
     ]
     (directory / f"{stem}_points.csv").write_text("\n".join(points) + "\n", encoding="utf-8")
-    nus = np.geomspace(min(s.nu for s in summaries), max(s.nu for s in summaries), 50)
+    nus = np.geomspace(fit.samples[0].nu, fit.samples[-1].nu, 50)
     curve = ["nu,fit_value"] + [f"{x:.17g},{float(fit.predict(x, epsilon * x)):.17g}" for x in nus]
     (directory / f"{stem}_curve.csv").write_text("\n".join(curve) + "\n", encoding="utf-8")
 
@@ -135,7 +135,7 @@ def _cmd_alpha_scan(args) -> int:
         config = replace(base, n_qubits=n_qubits)
         rows = run_sweep(config, out_path=out_dir / f"rows_n{n_qubits}.csv")
         for metric, by_qubits in fits.items():
-            fit, _ = aggregate_and_fit(rows, metric)
+            fit = aggregate_and_fit(rows, metric)
             by_qubits[n_qubits] = fit
             print(f"n={n_qubits} {metric}: alpha={fit.alpha:.6g} beta={fit.beta:.6g}")
     for metric, by_qubits in fits.items():

@@ -40,14 +40,12 @@ def scaling_model(nu, alpha: float, beta: float, circuit_error_rate) -> np.ndarr
 
 @dataclass(frozen=True)
 class ScalingSample:
-    """One averaged data point: metric value at a given circuit size."""
+    """One averaged data point: metric value, and its standard error, at a circuit size."""
 
     nu: int
     circuit_error_rate: float
     value: float
-    metric_kind: str = "W"
-    n_qubits: int | None = None
-    n_seeds: int = 1
+    stderr: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,6 @@ class PauliTermHamiltonian:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(self.terms)
-
     def diagonal_part(self) -> "PauliTermHamiltonian":
         """Terms built only from {I, Z}."""
         return PauliTermHamiltonian(
@@ -144,13 +141,12 @@ def build_xxx_hamiltonian(n_qubits: int, seed: int):
     return h0, h1
 
 
-def build_tfi_hamiltonian(n_qubits: int, seed: int, with_rz_extension: bool = False):
+def build_tfi_hamiltonian(n_qubits: int, seed: int):
     """Transverse-field Ising pair: H0 = -sum_i X_i, H1 = -sum_i J_i Z_i Z_{i+1}.
 
     On-site fields are constant (strength 1); the couplings J_i are drawn
-    uniformly from [-1, 1]. ``with_rz_extension`` does not change the terms,
-    it only marks that the circuit built on top will insert extra per-layer
-    Rz gates (their generator is deliberately not part of the Hamiltonian).
+    uniformly from [-1, 1]. The HVA-TFI-RZ family uses the same terms; its
+    extra per-layer Rz gates are deliberately not part of the Hamiltonian.
     """
     if n_qubits < 2:
         raise InvalidSizeError(f"need at least 2 qubits, got {n_qubits}")

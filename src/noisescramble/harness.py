@@ -44,9 +44,8 @@ MAX_QUBITS = 12
 # is below 1e-5 relative, and the spectrum is still well above float noise.
 EPSILON_PROXY = 1e-8
 
-# JSON number kinds of the numeric config fields; list fields hold several.
-_CONFIG_NUMBERS = {"n_qubits": int, "seed": int, "sparse_terms_per_layer": int}
-_CONFIG_LISTS = {"epsilons": float, "layers": int, "seeds": int}
+# Types named by the annotation text of config and row fields, like "int".
+_KINDS = {"str": str, "int": int, "float": float}
 
 
 def read_json_object(path) -> dict:
@@ -60,16 +59,33 @@ def read_json_object(path) -> dict:
     return payload
 
 
-def _config_number(source: str, field: str, value, kind: type):
-    """A JSON number as ``kind``, or ConfigError naming the field for anything else."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (kind is int and isinstance(value, float) and not value.is_integer())
-    ):
-        noun = "integers" if kind is int else "numbers"
-        raise ConfigError(f"{source}: {field} must hold {noun}, got {value!r}")
-    return kind(value)
+def _config_value(source: str, field, value):
+    """A config value checked against its field's annotation text, like "tuple[int, ...]".
+
+    Numbers exclude bools and, for an int, non-integral floats; a "| None"
+    field also takes null. Anything else is a ConfigError naming the field.
+    """
+    kind, _, nullable = field.type.partition(" | ")
+    if nullable and value is None:
+        return None
+    item = kind.removeprefix("tuple[").removesuffix(", ...]")
+    if item == kind:
+        return _config_item(source, field.name, value, kind)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{source}: {field.name} must be a list, got {value!r}")
+    return tuple(_config_item(source, field.name, v, item) for v in value)
+
+
+def _config_item(source: str, name: str, value, kind: str):
+    if kind == "str":
+        valid = isinstance(value, str)
+    else:
+        valid = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if valid and kind == "int" and isinstance(value, float):
+            valid = value.is_integer()
+    if not valid:
+        raise ConfigError(f"{source}: {name} must hold {kind} values, got {value!r}")
+    return _KINDS[kind](value)
 
 
 @dataclass(frozen=True)
@@ -117,20 +133,13 @@ class ExperimentConfig:
         for field in ("family", "n_qubits", "epsilons", "layers"):
             if field not in payload:
                 raise ConfigError(f"{source}: missing field {field!r}")
-        values = {}
-        for field in fields(cls):
-            if field.name not in payload:
-                continue
-            value = payload[field.name]
-            if field.name in _CONFIG_LISTS:
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(f"{source}: {field.name} must be a list, got {value!r}")
-                kind = _CONFIG_LISTS[field.name]
-                value = tuple(_config_number(source, field.name, v, kind) for v in value)
-            elif field.name in _CONFIG_NUMBERS:
-                value = _config_number(source, field.name, value, _CONFIG_NUMBERS[field.name])
-            values[field.name] = value
-        return cls(**values)
+        return cls(
+            **{
+                field.name: _config_value(source, field, payload[field.name])
+                for field in fields(cls)
+                if field.name in payload
+            }
+        )
 
 
 @dataclass(frozen=True)
@@ -204,9 +213,7 @@ def build_program(
     if config.family == "HVA-XXX":
         h0, h1 = build_xxx_hamiltonian(config.n_qubits, hamiltonian_seed)
     elif config.family in ("HVA-TFI", "HVA-TFI-RZ"):
-        h0, h1 = build_tfi_hamiltonian(
-            config.n_qubits, hamiltonian_seed, with_rz_extension=config.family == "HVA-TFI-RZ"
-        )
+        h0, h1 = build_tfi_hamiltonian(config.n_qubits, hamiltonian_seed)
     else:  # HVA-SPARSE
         if file_hamiltonian is None:
             raise ConfigError("the sparse family needs a hamiltonian_file")
@@ -266,7 +273,7 @@ def run_sweep(config: ExperimentConfig, out_path=None) -> list[ResultRow]:
     """Simulate every (epsilon, depth, seed) grid point of a configuration.
 
     Rows are computed and returned in grid order and, when ``out_path`` is
-    given, also appended to the CSV as soon as each is done.
+    given, also written to that CSV as soon as each is done.
     """
     if config.n_qubits > MAX_QUBITS:
         raise ResourceError(
@@ -278,42 +285,13 @@ def run_sweep(config: ExperimentConfig, out_path=None) -> list[ResultRow]:
         if config.hamiltonian_file is None:
             raise ConfigError("the sparse family needs a hamiltonian_file")
         file_hamiltonian = load_hamiltonian_file(config.hamiltonian_file)
-    rows: list[ResultRow] = []
-    sink = _RowSink(out_path)
-    try:
-        for epsilon in config.epsilons:
-            for layer_index, n_layers in enumerate(config.layers):
-                for seed_index in config.seeds:
-                    row = _compute_row(
-                        config, epsilon, layer_index, n_layers, seed_index, file_hamiltonian
-                    )
-                    rows.append(row)
-                    sink.write(row)
-    finally:
-        sink.close()
-    return rows
-
-
-class _RowSink:
-    """Incremental CSV writer; a no-op when no path is given."""
-
-    def __init__(self, path):
-        self._handle = None
-        if path is not None:
-            self._handle = open(path, "w", encoding="utf-8", newline="\n")
-            self._handle.write(f"# noisescramble-rows schema_version={CSV_SCHEMA_VERSION}\n")
-            self._handle.write(",".join(CSV_HEADER) + "\n")
-            self._handle.flush()
-
-    def write(self, row: ResultRow) -> None:
-        if self._handle is not None:
-            self._handle.write(format_row(row) + "\n")
-            self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+    grid = (
+        _compute_row(config, epsilon, layer_index, n_layers, seed_index, file_hamiltonian)
+        for epsilon in config.epsilons
+        for layer_index, n_layers in enumerate(config.layers)
+        for seed_index in config.seeds
+    )
+    return list(grid) if out_path is None else write_rows(out_path, grid)
 
 
 def _format_field(value) -> str:
@@ -330,7 +308,7 @@ def _parse_field(field, text: str, path, column: str):
     if nullable and not text:
         return None
     try:
-        return {"str": str, "int": int, "float": float}[kind](text)
+        return _KINDS[kind](text)
     except ValueError:
         raise ConfigError(f"{path}: column {column}: {text!r} is not a valid {kind}") from None
 
@@ -339,13 +317,18 @@ def format_row(row: ResultRow) -> str:
     return ",".join(_format_field(getattr(row, field.name)) for field in _ROW_FIELDS)
 
 
-def write_rows(path, rows) -> None:
-    sink = _RowSink(path)
-    try:
+def write_rows(path, rows) -> list[ResultRow]:
+    """Write a rows CSV, flushing the header and then each row as it arrives; return the rows."""
+    written = []
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"# noisescramble-rows schema_version={CSV_SCHEMA_VERSION}\n")
+        handle.write(",".join(CSV_HEADER) + "\n")
+        handle.flush()
         for row in rows:
-            sink.write(row)
-    finally:
-        sink.close()
+            handle.write(format_row(row) + "\n")
+            handle.flush()
+            written.append(row)
+    return written
 
 
 def read_rows(path) -> list[ResultRow]:
@@ -370,22 +353,13 @@ def read_rows(path) -> list[ResultRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class PerSizeSummary:
-    """Seed-mean of one metric at one circuit size."""
-
-    nu: int
-    mean: float
-    stderr: float
-    n_seeds: int
-
-
-def aggregate_and_fit(rows, metric_kind: str = "W") -> tuple[ScalingFit, list[PerSizeSummary]]:
+def aggregate_and_fit(rows, metric_kind: str = "W") -> ScalingFit:
     """Seed-average one metric per circuit size, then fit the scaling model.
 
     The rows must all belong to a single (family, n_qubits, epsilon)
     configuration; rows whose metric is null (e.g. noiseless points) are
-    skipped.
+    skipped. The fit's samples are the seed means, by ascending size, with
+    their standard errors.
     """
     rows = list(rows)
     if not rows:
@@ -393,7 +367,7 @@ def aggregate_and_fit(rows, metric_kind: str = "W") -> tuple[ScalingFit, list[Pe
     keys = {(r.family, r.n_qubits, r.epsilon) for r in rows}
     if len(keys) != 1:
         raise FitError(f"rows span {len(keys)} configurations, expected exactly one")
-    family, n_qubits, epsilon = keys.pop()
+    epsilon = rows[0].epsilon
     attribute = {"W": "uniformity", "C": "commutator_rel"}.get(metric_kind)
     if attribute is None:
         raise FitError(f"unknown metric kind {metric_kind!r}, expected 'W' or 'C'")
@@ -402,7 +376,6 @@ def aggregate_and_fit(rows, metric_kind: str = "W") -> tuple[ScalingFit, list[Pe
         value = getattr(row, attribute)
         if value is not None:
             by_nu.setdefault(row.nu, []).append(value)
-    summaries = []
     samples = []
     for nu in sorted(by_nu):
         values = by_nu[nu]
@@ -414,17 +387,6 @@ def aggregate_and_fit(rows, metric_kind: str = "W") -> tuple[ScalingFit, list[Pe
             stderr = spread / math.sqrt(len(values))
         else:
             stderr = 0.0
-        summaries.append(PerSizeSummary(nu=nu, mean=mean, stderr=stderr, n_seeds=len(values)))
-        samples.append(
-            ScalingSample(
-                nu=nu,
-                circuit_error_rate=epsilon * nu,
-                value=mean,
-                metric_kind=metric_kind,
-                n_qubits=n_qubits,
-                n_seeds=len(values),
-            )
-        )
-    fit = fit_scaling(samples)
-    return fit, summaries
+        samples.append(ScalingSample(nu, epsilon * nu, mean, stderr))
+    return fit_scaling(samples)
 

@@ -325,8 +325,6 @@ class SpectralReport:
     commutator_abs: float
     commutator_rel: float | None
     trace_dist_wn: float
-    variance: float
-    eta_estimate: float | None = None
     error_overlap: float | None = None
     degenerate_reason: str | None = None
 
@@ -340,8 +338,7 @@ def compute_spectral_report(
     decomposition = eigendecompose(mat, psi)
     lam1 = float(decomposition.eigenvalues[0])
     f = fidelity(mat, psi)
-    var = variance(mat, psi)
-    commutator_abs = 2.0 * math.sqrt(var)
+    commutator_abs = 2.0 * math.sqrt(variance(mat, psi))
     degenerate = lam1 >= 1.0 - _PURITY_TOL
     uniformity = None if degenerate else eigenvalue_uniformity(decomposition)
     commutator_rel = None if degenerate else commutator_abs / (1.0 - lam1)
@@ -357,8 +354,6 @@ def compute_spectral_report(
         commutator_abs=commutator_abs,
         commutator_rel=commutator_rel,
         trace_dist_wn=dist_wn,
-        variance=var,
-        eta_estimate=eta_estimate,
         error_overlap=error_overlap,
         degenerate_reason="noiseless" if degenerate else None,
     )

@@ -20,7 +20,8 @@ on three or more qubits applies U to the rows and U* to the columns; its
 per-qubit noise maps start new fusable ops. Fusion only composes linear
 maps and commutes maps on disjoint qubits, so it changes results by
 rounding alone. Each fused op is applied as soon as no later gate can merge
-into it, so the kernel holds O(N) small maps however long the circuit.
+into it, so the kernel holds O(N) small maps however long the circuit. The
+state is symmetrised once, at the end.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 _IDENTITIES: dict[int, np.ndarray] = {}  # read-only, by dimension, for _pauli_tables
-
-# Re-symmetrise the evolving matrix about this often, in program gates, to
-# suppress float drift.
-_RESYMMETRISE_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -330,27 +327,24 @@ class _Op:
     """One step of the fused kernel.
 
     On at most two qubits, ``matrix`` is a superoperator in pair order; on
-    three or more it is a bare gate unitary. ``gates`` counts the program
-    gates folded in.
+    three or more it is a bare gate unitary.
     """
 
-    __slots__ = ("qubits", "matrix", "gates", "order", "sealed")
+    __slots__ = ("qubits", "matrix", "order", "sealed")
 
-    def __init__(self, qubits, matrix, gates, order):
+    def __init__(self, qubits, matrix, order):
         self.qubits = qubits
         self.matrix = matrix
-        self.gates = gates
         self.order = order
         self.sealed = False
 
-    def absorb(self, qubits, matrix, gates) -> None:
+    def absorb(self, qubits, matrix) -> None:
         """Compose a later map into this op; their joint support has <= 2 qubits."""
         target = self.qubits if len(self.qubits) >= len(qubits) else qubits
         self.matrix = _on_support(matrix, qubits, target) @ _on_support(
             self.matrix, self.qubits, target
         )
         self.qubits = target
-        self.gates += gates
 
     def apply(self, tensor: np.ndarray, n: int) -> np.ndarray:
         if len(self.qubits) <= 2:  # on the (row, column) axis pairs, r1 c1 r2 c2
@@ -375,7 +369,8 @@ def _fused_ops(program: CircuitProgram, matrices):
     Once every qubit of an op has a later op, no later gate can merge into
     it: it is yielded, after the earlier held ops it overlaps, which are
     sealed against later merges. Every op still held is then the latest on
-    one of its qubits, so at most 2n ops are held at any time.
+    one of its qubits, so at most n ops are held between gates; placing a
+    gate on k qubits adds at most k + 1 until the ops it supersedes go.
     """
     noise = program.noise
     noise_maps = {}
@@ -387,13 +382,13 @@ def _fused_ops(program: CircuitProgram, matrices):
         if k not in noise_maps:
             noise_maps[k] = _depolarising_map(noise.per_qubit_replace_rate(k))
         if k <= 2:
-            steps = [(gate.qubits, _noisy_gate_map(mat, noise_maps[k]), 1)]
+            steps = [(gate.qubits, _noisy_gate_map(mat, noise_maps[k]))]
         else:
-            steps = [(gate.qubits, mat, 1)]
+            steps = [(gate.qubits, mat)]
             if noise.per_gate_error > 0.0:
-                steps += [((q,), noise_maps[k], 0) for q in gate.qubits]
+                steps += [((q,), noise_maps[k]) for q in gate.qubits]
         superseded = False
-        for qubits, matrix, gates in steps:
+        for qubits, matrix in steps:
             owners = [latest[q] for q in qubits if latest[q] is not None]
             owner = max(owners, key=lambda op: op.order, default=None)
             if (
@@ -401,10 +396,10 @@ def _fused_ops(program: CircuitProgram, matrices):
                 and not owner.sealed
                 and len(set(owner.qubits).union(qubits)) <= 2
             ):
-                owner.absorb(qubits, matrix, gates)
+                owner.absorb(qubits, matrix)
             else:
                 order += 1
-                owner = _Op(qubits, matrix, gates, order)
+                owner = _Op(qubits, matrix, order)
                 pending.append(owner)
             for q in qubits:
                 superseded = superseded or latest[q] not in (None, owner)
@@ -423,10 +418,14 @@ def _fused_ops(program: CircuitProgram, matrices):
     yield from pending
 
 
-def _resymmetrise(tensor: np.ndarray, d: int, n: int) -> np.ndarray:
+def _hermitian_part(tensor: np.ndarray, d: int) -> np.ndarray:
+    """(M + M^dagger)/2 of the state tensor M, as a d x d matrix.
+
+    A function of its own, so the contiguous copy of M is freed before the
+    caller checks the result.
+    """
     m = np.ascontiguousarray(tensor).reshape(d, d)
-    m = 0.5 * (m + m.conj().T)
-    return m.reshape((2,) * (2 * n))
+    return 0.5 * (m + m.conj().T)
 
 
 def _evolve(program: CircuitProgram, initial: DensityMatrix | None, psi: np.ndarray | None):
@@ -454,17 +453,10 @@ def _evolve(program: CircuitProgram, initial: DensityMatrix | None, psi: np.ndar
         for _ in matrices():
             pass
     else:
-        d, t = initial.dim, initial.data.reshape((2,) * (2 * n))
-        # Counted in program gates; an op is applied whole, so the state is
-        # Hermitian whenever it is resymmetrised.
-        unsymmetrised = 0
+        t = initial.data.reshape((2,) * (2 * n))
         for op in _fused_ops(program, matrices()):
             t = op.apply(t, n)
-            unsymmetrised += op.gates
-            if unsymmetrised >= _RESYMMETRISE_EVERY:
-                t = _resymmetrise(t, d, n)
-                unsymmetrised = 0
-        rho = DensityMatrix(n, _resymmetrise(t, d, n).reshape(d, d))
+        rho = DensityMatrix(n, _hermitian_part(t, initial.dim))
     return rho, None if psi is None else psi.reshape(-1)
 
 

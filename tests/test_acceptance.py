@@ -208,8 +208,8 @@ def sel_scaling_rows_c():
 
 def test_criterion_07_random_sel_scaling(sel_scaling_rows_w):
     rows, sweep_seconds = sel_scaling_rows_w
-    fit, summaries = aggregate_and_fit(rows, "W")
-    decades = np.log10(summaries[-1].nu / summaries[0].nu)
+    fit = aggregate_and_fit(rows, "W")
+    decades = np.log10(fit.samples[-1].nu / fit.samples[0].nu)
     _check(
         7,
         "random-SEL uniformity scaling exponent in [0.35, 0.65]",
@@ -277,7 +277,7 @@ def test_criterion_10_rz_insertion_scrambles_faster():
             parameter_mode="random", seeds=tuple(range(10)), seed=110,
         )
         rows = run_sweep(config)
-        fit, _ = aggregate_and_fit(rows, "W")
+        fit = aggregate_and_fit(rows, "W")
         betas[family] = fit.beta
     margin = betas["HVA-TFI-RZ"] - betas["HVA-TFI"]
     _check(

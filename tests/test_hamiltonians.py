@@ -97,11 +97,6 @@ class TestBuildTFI:
     def test_deterministic(self):
         assert build_tfi_hamiltonian(5, seed=3) == build_tfi_hamiltonian(5, seed=3)
 
-    def test_rz_extension_flag_does_not_change_terms(self):
-        assert build_tfi_hamiltonian(4, seed=7) == build_tfi_hamiltonian(
-            4, seed=7, with_rz_extension=True
-        )
-
 
 class TestLoadHamiltonianFile:
     def test_basic_parse(self, tmp_path):

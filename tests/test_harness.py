@@ -101,6 +101,11 @@ class TestExperimentConfig:
             ("n_qubits", "5"),
             ("seed", "7"),
             ("sparse_terms_per_layer", None),
+            ("hamiltonian_file", 5),
+            ("out", True),
+            ("out", 7),
+            ("parameter_mode", 1),
+            ("family", None),
         ],
     )
     def test_non_integers_rejected(self, field, value):
@@ -364,9 +369,14 @@ class TestAggregateAndFit:
             epsilons=(1e-7,), layers=(2, 4, 8, 16), seeds=tuple(range(5)), n_qubits=4
         )
         rows = run_sweep(config)
-        fit, summaries = aggregate_and_fit(rows, "W")
-        assert len(summaries) == 4
-        assert all(s.n_seeds == 5 for s in summaries)
+        fit = aggregate_and_fit(rows, "W")
+        assert [s.nu for s in fit.samples] == sorted({row.nu for row in rows})
+        assert len(fit.samples) == 4
+        for sample in fit.samples:
+            values = [row.uniformity for row in rows if row.nu == sample.nu]
+            assert len(values) == 5
+            assert sample.value == sum(values) / 5
+            assert sample.stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(5))
         assert fit.alpha > 0
         assert 0.0 < fit.beta < 1.5
 
@@ -449,6 +459,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_qubits" in err
         assert not out.exists()
+
+    def test_sweep_rejects_boolean_csv_path(self, tmp_path, capsys):
+        payload = config_payload(small_config())
+        payload["out"] = True  # open(True) would write to file descriptor 1
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        assert cli_main(["sweep", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and ": out " in captured.err
+        assert captured.out == ""
 
     def test_sweep_deterministic_csv(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -7,6 +7,7 @@ import pytest
 from noisescramble import (
     CircuitProgram,
     DensityMatrix,
+    ExperimentConfig,
     Gate,
     InvalidGateError,
     InvalidRateError,
@@ -14,12 +15,15 @@ from noisescramble import (
     NoiseSpec,
     ShapeError,
     basis_statevector,
+    build_program,
+    load_hamiltonian_file,
     run_circuit,
     run_ideal,
 )
 from noisescramble.ansatz import AnsatzSpec, build_sel_circuit
-from noisescramble.simulator import _fused_ops, _pauli_tables
+from noisescramble.simulator import _fused_ops, _Op, _pauli_tables
 
+from .conftest import REPO_ROOT
 from .oracles import full_gate_unitary, kraus_run, statevector_run
 
 
@@ -322,6 +326,24 @@ def _fused_supports(program):
     return [op.qubits for op in ops]
 
 
+def _long_program(name, per_gate_error):
+    """SEL on 5 or 7 qubits, or the 4-qubit HVA-SPARSE molecule at 64 layers (7042 gates)."""
+    if name.startswith("sel"):
+        n_qubits, n_layers = {"sel5": (5, 200), "sel7": (7, 128)}[name]
+        program = build_sel_circuit(AnsatzSpec("SEL", n_qubits, n_layers, seed=4))
+    else:
+        config = ExperimentConfig(
+            family="HVA-SPARSE",
+            n_qubits=4,
+            epsilons=(per_gate_error,),
+            layers=(64,),
+            hamiltonian_file=str(REPO_ROOT / "perfbench" / "data" / "toy_molecule_4q.txt"),
+        )
+        file_hamiltonian = load_hamiltonian_file(config.hamiltonian_file)
+        program = build_program(config, 64, 0, 0, file_hamiltonian)
+    return program.with_noise(per_gate_error)
+
+
 class TestFusedKernel:
     """run_circuit fuses gates into <= 2-qubit superoperators; the Kraus
     oracle applies every gate and every error channel literally."""
@@ -400,6 +422,41 @@ class TestFusedKernel:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0], peaks
+
+    @pytest.mark.parametrize("name, per_gate_error", [("sel5", 1e-3), ("sparse4", 1e-3)])
+    def test_held_ops_bounded_by_twice_the_width(self, monkeypatch, name, per_gate_error):
+        # ops created minus ops yielded, counted as each gate arrives
+        program = _long_program(name, per_gate_error)
+        created = yielded = 0
+        held = []
+        original = _Op.__init__
+
+        def counting(op, *args):
+            nonlocal created
+            created += 1
+            original(op, *args)
+
+        def matrices():
+            for gate in program.gates:
+                held.append(created - yielded)
+                yield gate.matrix()
+
+        monkeypatch.setattr(_Op, "__init__", counting)
+        for _ in _fused_ops(program, matrices()):
+            yielded += 1
+        assert created == yielded > program.n_qubits
+        assert max(held) <= 2 * program.n_qubits, max(held)
+
+    @pytest.mark.parametrize("name, per_gate_error", [("sel7", 1e-8), ("sparse4", 1e-7)])
+    def test_state_stays_hermitian_without_symmetrising(self, name, per_gate_error):
+        # why run_circuit symmetrises only once, at the end
+        program = _long_program(name, per_gate_error)
+        n = program.n_qubits
+        t = DensityMatrix.basis_state(n).data.reshape((2,) * (2 * n))
+        for op in _fused_ops(program, (gate.matrix() for gate in program.gates)):
+            t = op.apply(t, n)
+        m = t.reshape(2**n, 2**n)
+        assert np.abs(m - m.conj().T).max() < 1e-13
 
 
 def _embedded(gate, n):
