@@ -11,7 +11,6 @@ single-qubit example and then on a simulated noisy circuit.
 import numpy as np
 
 from noisescramble import (
-    AnsatzSpec,
     DensityMatrix,
     arrowhead_transform,
     basis_statevector,
@@ -48,7 +47,7 @@ print("implementation says so instead of asserting it")
 
 # the same machinery on a simulated noisy circuit
 print("\n== noisy 4-qubit circuit ==")
-prog = build_sel_circuit(AnsatzSpec("SEL", 4, 3, seed=5)).with_noise(5e-3)
+prog = build_sel_circuit(4, 3, seed=5).with_noise(5e-3)
 noisy = run_circuit(prog, DensityMatrix.basis_state(4))
 ideal = run_ideal(prog, basis_statevector(4))
 

@@ -8,9 +8,7 @@ power-law scaling of those metrics with circuit size.
 """
 
 from .ansatz import (
-    FAMILIES,
     PARAMETER_MODES,
-    AnsatzSpec,
     build_hva_circuit,
     build_sel_circuit,
     build_sparse_hva_layer,
@@ -51,6 +49,7 @@ from .hamiltonians import (
 )
 from .harness import (
     EPSILON_PROXY,
+    FAMILIES,
     ExperimentConfig,
     ResultRow,
     aggregate_and_fit,

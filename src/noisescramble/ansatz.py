@@ -1,14 +1,13 @@
-"""Circuit families: strongly entangling layers and Hamiltonian-variational
+"""Circuit builders: strongly entangling layers and Hamiltonian-variational
 circuits, including the Rz-augmented and sparse-compiled variants.
 
-Every builder is deterministic in its spec (seed included) and reports its
-gate count as the length of the emitted gate list, preparation gates
-included.
+Every builder is deterministic in its arguments (seed included) and reports
+its gate count as the length of the emitted gate list, preparation gates
+included. Which family uses which builder and Hamiltonians is decided in
+``harness.build_program`` alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,52 +15,24 @@ from .errors import AnsatzError, InvalidDistributionError, InvalidSizeError, Sha
 from .hamiltonians import PauliTermHamiltonian
 from .simulator import CircuitProgram, Gate, NoiseSpec
 
-FAMILIES = ("SEL", "HVA-XXX", "HVA-TFI", "HVA-TFI-RZ", "HVA-SPARSE")
 PARAMETER_MODES = ("random", "vqe")
 
 _TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class AnsatzSpec:
-    """What to build: family, width, depth, parameter mode and seed."""
-
-    family: str
-    n_qubits: int
-    n_layers: int
-    parameter_mode: str = "random"
-    seed: int = 0
-    sparse_terms_per_layer: int = 100
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise AnsatzError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.parameter_mode not in PARAMETER_MODES:
-            raise AnsatzError(
-                f"unknown parameter mode {self.parameter_mode!r}, expected one of {PARAMETER_MODES}"
-            )
-        if self.n_layers < 1:
-            raise InvalidSizeError(f"need at least 1 layer, got {self.n_layers}")
-        if self.sparse_terms_per_layer < 1:
-            raise InvalidSizeError(
-                f"need at least 1 sparse term per layer, got {self.sparse_terms_per_layer}"
-            )
-
-
-def build_sel_circuit(spec: AnsatzSpec) -> CircuitProgram:
+def build_sel_circuit(n: int, n_layers: int, seed: int = 0) -> CircuitProgram:
     """Strongly entangling layers: Rz-Ry-Rz on every qubit, then a CNOT ring.
 
     Rotation angles are drawn uniformly from [-2pi, 2pi]; the ring applies
     CNOT(i, i+1 mod N) for every i, so one layer contributes 4N gates.
     """
-    if spec.family != "SEL":
-        raise AnsatzError(f"build_sel_circuit got family {spec.family!r}")
-    n = spec.n_qubits
     if n < 2:
         raise InvalidSizeError(f"the CNOT ring needs at least 2 qubits, got {n}")
-    rng = np.random.default_rng(spec.seed)
+    if n_layers < 1:
+        raise InvalidSizeError(f"need at least 1 layer, got {n_layers}")
+    rng = np.random.default_rng(seed)
     gates = []
-    for _ in range(spec.n_layers):
+    for _ in range(n_layers):
         for q in range(n):
             a = rng.uniform(-_TWO_PI, _TWO_PI, size=3)
             gates.append(Gate.rotation_z(q, a[0]))
@@ -136,57 +107,63 @@ def build_sparse_hva_layer(
 
 
 def build_hva_circuit(
-    spec: AnsatzSpec, h0: PauliTermHamiltonian, h1: PauliTermHamiltonian
+    h0: PauliTermHamiltonian,
+    h1: PauliTermHamiltonian,
+    n_layers: int,
+    parameter_mode: str = "random",
+    seed: int = 0,
+    sparse_terms: int | None = None,
+    rz_layer: bool = False,
 ) -> CircuitProgram:
     """Hamiltonian-variational circuit alternating trotterised H0 and H1 steps.
 
-    Layer k of L applies exp(-i beta_k H0) then exp(-i gamma_k H1), each
-    split into one exponential per Pauli term in canonical term order. In
-    vqe mode the schedule is gamma_k = k/L, beta_k = 1 - k/L (a discretised
-    adiabatic sweep); in random mode every exponential gets an independent
-    angle uniform in [-2pi, 2pi]. The initial state is the ground state of
-    h0, prepared by explicit (noisy, counted) basis rotations. The TFI-RZ
-    family appends one Rz per qubit per layer; the sparse family replaces
-    the H1 trotter step with sampled terms.
+    The width is ``h0.n_qubits``. Layer k of L applies exp(-i beta_k H0)
+    then exp(-i gamma_k H1), each split into one exponential per Pauli term
+    in canonical term order. In vqe mode the schedule is gamma_k = k/L,
+    beta_k = 1 - k/L (a discretised adiabatic sweep); in random mode every
+    exponential gets an independent angle uniform in [-2pi, 2pi]. The
+    initial state is the ground state of h0, prepared by explicit (noisy,
+    counted) basis rotations. With ``sparse_terms`` given, each H1 step is
+    replaced by that many terms sampled by ``build_sparse_hva_layer``; with
+    ``rz_layer`` each layer ends with one Rz per qubit (angle 0 in vqe
+    mode).
     """
-    if spec.family == "SEL":
-        raise AnsatzError("build_hva_circuit does not handle the SEL family")
-    n = spec.n_qubits
-    if h0.n_qubits != n or h1.n_qubits != n:
-        raise ShapeError(
-            f"Hamiltonians on {h0.n_qubits}/{h1.n_qubits} qubits do not match spec ({n})"
+    if parameter_mode not in PARAMETER_MODES:
+        raise AnsatzError(
+            f"unknown parameter mode {parameter_mode!r}, expected one of {PARAMETER_MODES}"
         )
+    if n_layers < 1:
+        raise InvalidSizeError(f"need at least 1 layer, got {n_layers}")
+    n = h0.n_qubits
+    if h1.n_qubits != n:
+        raise ShapeError(f"h0 is on {n} qubits but h1 on {h1.n_qubits}")
     if not h1.terms:
         raise AnsatzError("the non-trivial Hamiltonian part has no terms")
-    random_mode = spec.parameter_mode == "random"
-    rng = np.random.default_rng(spec.seed)
-    layer_seeds = rng.integers(0, 2**63, size=spec.n_layers)
+    random_mode = parameter_mode == "random"
+    rng = np.random.default_rng(seed)
+    layer_seeds = rng.integers(0, 2**63, size=n_layers)
     gates = _ground_state_prep(h0, n)
-    for k in range(1, spec.n_layers + 1):
-        beta = 1.0 - k / spec.n_layers
-        gamma = k / spec.n_layers
-        for coeff, pauli in h0.terms:
+
+    def angle(scheduled: float) -> float:
+        return rng.uniform(-_TWO_PI, _TWO_PI) if random_mode else scheduled
+
+    def trotter_step(h: PauliTermHamiltonian, weight: float) -> None:
+        for coeff, pauli in h.terms:
             if pauli.weight == 0:
                 continue  # identity term: a global phase, not a gate
-            theta = rng.uniform(-_TWO_PI, _TWO_PI) if random_mode else beta * coeff
-            gates.append(Gate.pauli_exponential(pauli, theta))
-        if spec.family == "HVA-SPARSE":
+            gates.append(Gate.pauli_exponential(pauli, angle(weight * coeff)))
+
+    for k in range(1, n_layers + 1):
+        gamma = k / n_layers
+        trotter_step(h0, 1.0 - gamma)
+        if sparse_terms is None:
+            trotter_step(h1, gamma)
+        else:
             gates.extend(
                 build_sparse_hva_layer(
-                    h1,
-                    spec.sparse_terms_per_layer,
-                    int(layer_seeds[k - 1]),
-                    angle=None if random_mode else gamma,
+                    h1, sparse_terms, int(layer_seeds[k - 1]), None if random_mode else gamma
                 )
             )
-        else:
-            for coeff, pauli in h1.terms:
-                if pauli.weight == 0:
-                    continue
-                theta = rng.uniform(-_TWO_PI, _TWO_PI) if random_mode else gamma * coeff
-                gates.append(Gate.pauli_exponential(pauli, theta))
-        if spec.family == "HVA-TFI-RZ":
-            for q in range(n):
-                theta = rng.uniform(-_TWO_PI, _TWO_PI) if random_mode else 0.0
-                gates.append(Gate.rotation_z(q, theta))
+        if rz_layer:
+            gates.extend(Gate.rotation_z(q, angle(0.0)) for q in range(n))
     return CircuitProgram(n_qubits=n, gates=tuple(gates), noise=NoiseSpec(0.0))

@@ -16,13 +16,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .ansatz import (
-    FAMILIES,
-    PARAMETER_MODES,
-    AnsatzSpec,
-    build_hva_circuit,
-    build_sel_circuit,
-)
+from .ansatz import PARAMETER_MODES, build_hva_circuit, build_sel_circuit
 from .errors import ConfigError, FitError, ResourceError, ShapeError
 from .fitting import ScalingFit, ScalingSample, fit_scaling
 from .hamiltonians import (
@@ -33,6 +27,8 @@ from .hamiltonians import (
 )
 from .metrics import compute_spectral_report
 from .simulator import CircuitProgram, DensityMatrix, _evolve, basis_statevector
+
+FAMILIES = ("SEL", "HVA-XXX", "HVA-TFI", "HVA-TFI-RZ", "HVA-SPARSE")
 
 CONFIG_SCHEMA_VERSION = 1
 CSV_SCHEMA_VERSION = 1
@@ -108,6 +104,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.parameter_mode not in PARAMETER_MODES:
             raise ConfigError(f"unknown parameter mode {self.parameter_mode!r}")
+        if self.family == "SEL" and self.parameter_mode != "random":
+            raise ConfigError("parameter_mode must be 'random' for SEL, which has no vqe schedule")
+        if self.sparse_terms_per_layer < 1:
+            raise ConfigError(
+                f"sparse_terms_per_layer must be at least 1, got {self.sparse_terms_per_layer}"
+            )
         if not self.epsilons or not self.layers or not self.seeds:
             raise ConfigError("epsilons, layers and seeds must all be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -199,17 +201,12 @@ def build_program(
     hamiltonian_seed: int,
     file_hamiltonian: PauliTermHamiltonian | None = None,
 ) -> CircuitProgram:
-    """Construct the (noise-free) circuit for one grid point."""
-    spec = AnsatzSpec(
-        family=config.family,
-        n_qubits=config.n_qubits,
-        n_layers=n_layers,
-        parameter_mode=config.parameter_mode,
-        seed=ansatz_seed,
-        sparse_terms_per_layer=config.sparse_terms_per_layer,
-    )
+    """Construct the (noise-free) circuit for one grid point.
+
+    The one place that maps a family to its Hamiltonians and builder call.
+    """
     if config.family == "SEL":
-        return build_sel_circuit(spec)
+        return build_sel_circuit(config.n_qubits, n_layers, ansatz_seed)
     if config.family == "HVA-XXX":
         h0, h1 = build_xxx_hamiltonian(config.n_qubits, hamiltonian_seed)
     elif config.family in ("HVA-TFI", "HVA-TFI-RZ"):
@@ -223,7 +220,11 @@ def build_program(
             )
         h0 = file_hamiltonian.diagonal_part()
         h1 = file_hamiltonian.offdiagonal_part()
-    return build_hva_circuit(spec, h0, h1)
+    return build_hva_circuit(
+        h0, h1, n_layers, config.parameter_mode, ansatz_seed,
+        sparse_terms=config.sparse_terms_per_layer if config.family == "HVA-SPARSE" else None,
+        rz_layer=config.family == "HVA-TFI-RZ",
+    )
 
 
 def _compute_row(

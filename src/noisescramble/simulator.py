@@ -88,13 +88,14 @@ class Gate:
         return cls("cnot", (int(control), int(target)))
 
     @classmethod
-    def pauli_exponential(cls, pauli, angle: float) -> "Gate":
+    def pauli_exponential(cls, pauli: PauliString | str, angle: float) -> "Gate":
         """exp(-i * angle * P) for a Pauli string P (full angle, no half)."""
-        ops = PauliString(str(pauli)).ops
-        support = tuple(i for i, c in enumerate(ops) if c != "I")
+        if isinstance(pauli, str):
+            pauli = PauliString(pauli)
+        support = pauli.support
         if not support:
             raise InvalidGateError("identity Pauli string generates only a global phase")
-        return cls("pauli_exp", support, float(angle), "".join(ops[i] for i in support))
+        return cls("pauli_exp", support, float(angle), "".join(pauli.ops[i] for i in support))
 
     def matrix(self) -> np.ndarray:
         """Unitary on the support qubits, dimension 2^len(qubits)."""

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from noisescramble import (
-    AnsatzSpec,
     CircuitProgram,
     DensityMatrix,
     ExperimentConfig,
@@ -47,8 +46,8 @@ def _check(criterion, description, passed, detail=""):
 
 def _noisy_sel(rng, n_qubits, layer_choices, eps_lo, eps_hi):
     layers = int(rng.choice(layer_choices))
-    spec = AnsatzSpec("SEL", n_qubits, layers, seed=int(rng.integers(1e9)))
-    prog = build_sel_circuit(spec).with_noise(float(rng.uniform(eps_lo, eps_hi)))
+    prog = build_sel_circuit(n_qubits, layers, seed=int(rng.integers(1e9)))
+    prog = prog.with_noise(float(rng.uniform(eps_lo, eps_hi)))
     rho = run_circuit(prog, DensityMatrix.basis_state(n_qubits))
     psi = run_ideal(prog, basis_statevector(n_qubits))
     return rho, psi

@@ -3,9 +3,9 @@ import pytest
 
 from noisescramble import (
     AnsatzError,
-    AnsatzSpec,
     DensityMatrix,
     InvalidDistributionError,
+    InvalidSizeError,
     PauliTermHamiltonian,
     ShapeError,
     basis_statevector,
@@ -22,7 +22,7 @@ from .oracles import hamiltonian_matrix
 
 class TestSelCircuit:
     def test_single_layer_structure(self):
-        prog = build_sel_circuit(AnsatzSpec("SEL", 3, 1, seed=0))
+        prog = build_sel_circuit(3, 1, seed=0)
         assert prog.gate_count == 12  # 9 rotations + 3 CNOTs
         kinds = [g.kind for g in prog.gates]
         assert kinds[:9] == ["rz", "ry", "rz"] * 3
@@ -31,30 +31,33 @@ class TestSelCircuit:
         assert [g.qubits for g in prog.gates[9:]] == [(0, 1), (1, 2), (2, 0)]
 
     def test_gate_count_formula(self):
-        prog = build_sel_circuit(AnsatzSpec("SEL", 10, 5, seed=0))
+        prog = build_sel_circuit(10, 5, seed=0)
         assert prog.gate_count == 200
 
     def test_angles_bounded(self):
-        prog = build_sel_circuit(AnsatzSpec("SEL", 4, 3, seed=8))
+        prog = build_sel_circuit(4, 3, seed=8)
         angles = [g.angle for g in prog.gates if g.angle is not None]
         assert all(abs(a) <= 2 * np.pi for a in angles)
 
     def test_deterministic(self):
-        a = build_sel_circuit(AnsatzSpec("SEL", 4, 2, seed=5))
-        b = build_sel_circuit(AnsatzSpec("SEL", 4, 2, seed=5))
+        a = build_sel_circuit(4, 2, seed=5)
+        b = build_sel_circuit(4, 2, seed=5)
         assert a == b
 
+    def test_zero_layers_rejected(self):
+        with pytest.raises(InvalidSizeError):
+            build_sel_circuit(3, 0)
+
     def test_seed_changes_parameters(self):
-        a = build_sel_circuit(AnsatzSpec("SEL", 4, 2, seed=5))
-        b = build_sel_circuit(AnsatzSpec("SEL", 4, 2, seed=6))
+        a = build_sel_circuit(4, 2, seed=5)
+        b = build_sel_circuit(4, 2, seed=6)
         assert a != b
 
 
 class TestHvaCircuit:
     def test_vqe_schedule(self):
         h0, h1 = build_xxx_hamiltonian(2, seed=3)
-        spec = AnsatzSpec("HVA-XXX", 2, 4, parameter_mode="vqe", seed=0)
-        prog = build_hva_circuit(spec, h0, h1)
+        prog = build_hva_circuit(h0, h1, 4, parameter_mode="vqe", seed=0)
         # per layer: the field terms carry beta_k * coeff, couplings gamma_k * 1
         coupling_angles = [
             g.angle for g in prog.gates if g.pauli in ("XX", "YY", "ZZ")
@@ -68,16 +71,14 @@ class TestHvaCircuit:
 
     def test_layer_term_counts(self):
         h0, h1 = build_xxx_hamiltonian(2, seed=3)
-        spec = AnsatzSpec("HVA-XXX", 2, 1, parameter_mode="vqe", seed=0)
-        prog = build_hva_circuit(spec, h0, h1)
+        prog = build_hva_circuit(h0, h1, 1, parameter_mode="vqe", seed=0)
         exps = [g for g in prog.gates if g.kind == "pauli_exp"]
         assert len([g for g in exps if len(g.qubits) == 1]) == 2
         assert len([g for g in exps if len(g.qubits) == 2]) == 3
 
     def test_xxx_initial_state_is_field_ground_state(self):
         h0, h1 = build_xxx_hamiltonian(5, seed=12)
-        spec = AnsatzSpec("HVA-XXX", 5, 1, parameter_mode="vqe", seed=0)
-        prog = build_hva_circuit(spec, h0, h1)
+        prog = build_hva_circuit(h0, h1, 1, parameter_mode="vqe", seed=0)
         n_prep = sum(1 for g in prog.gates if g.kind == "ry")
         assert n_prep == sum(1 for c, _ in h0.terms if c > 0)
         prep_only = prog.gates[:n_prep]
@@ -89,8 +90,7 @@ class TestHvaCircuit:
 
     def test_tfi_initial_state_is_plus_product(self):
         h0, h1 = build_tfi_hamiltonian(3, seed=2)
-        spec = AnsatzSpec("HVA-TFI", 3, 1, parameter_mode="vqe", seed=0)
-        prog = build_hva_circuit(spec, h0, h1)
+        prog = build_hva_circuit(h0, h1, 1, parameter_mode="vqe", seed=0)
         hadamards = [g for g in prog.gates if g.kind == "h"]
         assert len(hadamards) == 3
         psi = run_ideal(type(prog)(n_qubits=3, gates=tuple(hadamards)), basis_statevector(3))
@@ -98,40 +98,44 @@ class TestHvaCircuit:
 
     def test_tfi_rz_appends_one_rz_per_qubit_per_layer(self):
         h0, h1 = build_tfi_hamiltonian(4, seed=2)
-        plain = build_hva_circuit(AnsatzSpec("HVA-TFI", 4, 3, seed=1), h0, h1)
-        extended = build_hva_circuit(AnsatzSpec("HVA-TFI-RZ", 4, 3, seed=1), h0, h1)
+        plain = build_hva_circuit(h0, h1, 3, seed=1)
+        extended = build_hva_circuit(h0, h1, 3, seed=1, rz_layer=True)
         assert extended.gate_count == plain.gate_count + 3 * 4
         assert sum(1 for g in extended.gates if g.kind == "rz") == 12
 
     def test_random_mode_deterministic(self):
         h0, h1 = build_xxx_hamiltonian(3, seed=1)
-        spec = AnsatzSpec("HVA-XXX", 3, 2, parameter_mode="random", seed=44)
-        assert build_hva_circuit(spec, h0, h1) == build_hva_circuit(spec, h0, h1)
+        args = (h0, h1, 2, "random", 44)
+        assert build_hva_circuit(*args) == build_hva_circuit(*args)
 
     def test_qubit_mismatch(self):
-        h0, h1 = build_xxx_hamiltonian(3, seed=1)
+        h0, _ = build_xxx_hamiltonian(3, seed=1)
+        _, h1 = build_xxx_hamiltonian(4, seed=1)
         with pytest.raises(ShapeError):
-            build_hva_circuit(AnsatzSpec("HVA-XXX", 4, 2, seed=0), h0, h1)
+            build_hva_circuit(h0, h1, 2)
+
+    def test_unknown_mode_rejected(self):
+        h0, h1 = build_xxx_hamiltonian(3, seed=1)
+        with pytest.raises(AnsatzError):
+            build_hva_circuit(h0, h1, 1, parameter_mode="warm")
 
     def test_empty_coupling_hamiltonian_rejected(self):
         h0, _ = build_xxx_hamiltonian(3, seed=1)
         empty = PauliTermHamiltonian.from_terms(3, [])
         with pytest.raises(AnsatzError):
-            build_hva_circuit(AnsatzSpec("HVA-XXX", 3, 2, seed=0), h0, empty)
+            build_hva_circuit(h0, empty, 2)
 
     def test_gate_count_bookkeeping(self):
         h0, h1 = build_xxx_hamiltonian(4, seed=6)
         for mode in ("random", "vqe"):
-            spec = AnsatzSpec("HVA-XXX", 4, 3, parameter_mode=mode, seed=9)
-            prog = build_hva_circuit(spec, h0, h1)
+            prog = build_hva_circuit(h0, h1, 3, parameter_mode=mode, seed=9)
             assert prog.gate_count == len(prog.gates)
             n_prep = sum(1 for c, _ in h0.terms if c > 0)
             assert prog.gate_count == n_prep + 3 * (len(h0) + len(h1))
 
     def test_emitted_exponentials_are_unitary(self):
         h0, h1 = build_xxx_hamiltonian(3, seed=8)
-        spec = AnsatzSpec("HVA-XXX", 3, 2, parameter_mode="random", seed=13)
-        prog = build_hva_circuit(spec, h0, h1)
+        prog = build_hva_circuit(h0, h1, 2, parameter_mode="random", seed=13)
         for gate in prog.gates:
             u = gate.matrix()
             assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-12
@@ -142,8 +146,8 @@ class TestHvaCircuit:
         for seed in range(5):
             h0, h1 = build_xxx_hamiltonian(4, seed=500 + seed)
             for layers, sink in ((2, shallow), (12, deep)):
-                spec = AnsatzSpec("HVA-XXX", 4, layers, parameter_mode="vqe", seed=seed)
-                psi = run_ideal(build_hva_circuit(spec, h0, h1), basis_statevector(4))
+                prog = build_hva_circuit(h0, h1, layers, parameter_mode="vqe", seed=seed)
+                psi = run_ideal(prog, basis_statevector(4))
                 h = hamiltonian_matrix(h0) + hamiltonian_matrix(h1)
                 sink.append(np.vdot(psi, h @ psi).real)
         assert np.mean(deep) < np.mean(shallow) + 1e-9
@@ -191,26 +195,10 @@ class TestSparseLayer:
         from noisescramble import load_hamiltonian_file
 
         h = load_hamiltonian_file(REPO_ROOT / "demos" / "data" / "toy_molecule_4q.txt")
-        spec = AnsatzSpec(
-            "HVA-SPARSE", 4, 2, parameter_mode="random", seed=5, sparse_terms_per_layer=30
+        prog = build_hva_circuit(
+            h.diagonal_part(), h.offdiagonal_part(), 2, seed=5, sparse_terms=30
         )
-        prog = build_hva_circuit(spec, h.diagonal_part(), h.offdiagonal_part())
         per_layer_diag = sum(1 for _, p in h.diagonal_part().terms if p.weight > 0)
         n_prep = sum(1 for g in prog.gates if g.kind == "ry")
         assert prog.gate_count == n_prep + 2 * (per_layer_diag + 30)
 
-
-class TestAnsatzSpec:
-    def test_family_validated(self):
-        with pytest.raises(AnsatzError):
-            AnsatzSpec("SEL2", 3, 1)
-
-    def test_mode_validated(self):
-        with pytest.raises(AnsatzError):
-            AnsatzSpec("SEL", 3, 1, parameter_mode="warm")
-
-    def test_layers_validated(self):
-        import noisescramble
-
-        with pytest.raises(noisescramble.InvalidSizeError):
-            AnsatzSpec("SEL", 3, 0)

@@ -25,6 +25,7 @@ from noisescramble import (
     run_circuit,
     run_ideal,
     run_sweep,
+    scaling_model,
     write_rows,
 )
 from noisescramble.cli import build_parser
@@ -106,6 +107,10 @@ class TestExperimentConfig:
             ("out", 7),
             ("parameter_mode", 1),
             ("family", None),
+            # well-typed but out of range; the payload's family is SEL,
+            # which has no vqe schedule
+            ("sparse_terms_per_layer", 0),
+            ("parameter_mode", "vqe"),
         ],
     )
     def test_non_integers_rejected(self, field, value):
@@ -431,12 +436,18 @@ class TestCli:
         assert not printed["W"].startswith("nan")
 
     def test_fit_round_trip_fixture(self, tmp_path, capsys):
-        out = tmp_path / "fit.csv"
+        # exact W of the scaling model with alpha = 2, beta = 1/2 at eps = 1e-3
+        rows_path, out = tmp_path / "rows.csv", tmp_path / "fit.csv"
+        write_rows(rows_path, [
+            ResultRow("SEL", 4, 1e-3, nu, 0, w, w, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0)
+            for nu in (10, 100, 1000, 10000)
+            for w in [float(scaling_model(nu, 2.0, 0.5, 1e-3 * nu))]
+        ])
         code = cli_main(
             [
                 "fit",
                 "--rows",
-                str(REPO_ROOT / "demos" / "data" / "synthetic_scaling.csv"),
+                str(rows_path),
                 "--out",
                 str(out),
                 "--metric",

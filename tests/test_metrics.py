@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from noisescramble import (
-    AnsatzSpec,
     DegenerateStateError,
     DensityMatrix,
     InvalidObservableError,
@@ -49,7 +48,7 @@ def arrowhead_matrix(form):
 
 
 def noisy_sel_state(seed, n_qubits=3, layers=2, eps=0.1):
-    prog = build_sel_circuit(AnsatzSpec("SEL", n_qubits, layers, seed=seed)).with_noise(eps)
+    prog = build_sel_circuit(n_qubits, layers, seed=seed).with_noise(eps)
     rho = run_circuit(prog, DensityMatrix.basis_state(n_qubits))
     psi = run_ideal(prog, basis_statevector(n_qubits))
     return rho, psi
@@ -459,7 +458,7 @@ class TestSpectralReport:
         # for moderate total error the no-error weight dominates fidelity
         deviations = []
         for seed in range(10):
-            prog = build_sel_circuit(AnsatzSpec("SEL", 4, 6, seed=100 + seed))
+            prog = build_sel_circuit(4, 6, seed=100 + seed)
             prog = prog.with_noise(0.002)
             rho = run_circuit(prog, DensityMatrix.basis_state(4))
             psi = run_ideal(prog, basis_statevector(4))

@@ -20,7 +20,7 @@ from noisescramble import (
     run_circuit,
     run_ideal,
 )
-from noisescramble.ansatz import AnsatzSpec, build_sel_circuit
+from noisescramble.ansatz import build_sel_circuit
 from noisescramble.simulator import _fused_ops, _Op, _pauli_tables
 
 from .conftest import REPO_ROOT
@@ -188,7 +188,7 @@ class TestNoiseSpec:
 
 class TestRunCircuit:
     def test_noiseless_output_is_pure(self):
-        prog = build_sel_circuit(AnsatzSpec("SEL", 3, 2, seed=5))
+        prog = build_sel_circuit(3, 2, seed=5)
         rho = run_circuit(prog, DensityMatrix.basis_state(3))
         lam = np.linalg.eigvalsh(rho.data)
         assert abs(lam[-1] - 1.0) < 1e-10
@@ -215,14 +215,14 @@ class TestRunCircuit:
 
     def test_no_error_probability_lower_bound(self):
         eps = 0.05
-        prog = build_sel_circuit(AnsatzSpec("SEL", 3, 3, seed=2)).with_noise(eps)
+        prog = build_sel_circuit(3, 3, seed=2).with_noise(eps)
         rho = run_circuit(prog, DensityMatrix.basis_state(3))
         psi = run_ideal(prog, basis_statevector(3))
         overlap = float(np.vdot(psi, rho.data @ psi).real)
         assert overlap >= (1.0 - eps) ** prog.gate_count - 1e-10
 
     def test_trace_and_psd_preserved_through_long_circuit(self):
-        prog = build_sel_circuit(AnsatzSpec("SEL", 3, 20, seed=3)).with_noise(0.02)
+        prog = build_sel_circuit(3, 20, seed=3).with_noise(0.02)
         rho = run_circuit(prog, DensityMatrix.basis_state(3))
         assert abs(np.trace(rho.data).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho.data)[0] > -1e-10
@@ -230,9 +230,8 @@ class TestRunCircuit:
     def test_matches_kraus_oracle(self, rng):
         for trial in range(5):
             layers = int(rng.integers(1, 3))
-            prog = build_sel_circuit(
-                AnsatzSpec("SEL", 2, layers, seed=int(rng.integers(1e6)))
-            ).with_noise(float(rng.uniform(0.0, 0.6)))
+            seed = int(rng.integers(1e6))
+            prog = build_sel_circuit(2, layers, seed).with_noise(float(rng.uniform(0.0, 0.6)))
             prog = CircuitProgram(2, prog.gates[:8], prog.noise)
             rho = run_circuit(prog, DensityMatrix.basis_state(2))
             expected = kraus_run(prog, DensityMatrix.basis_state(2).data)
@@ -262,19 +261,19 @@ class TestRunIdeal:
         assert np.abs(psi - np.array([1, 1]) / np.sqrt(2)).max() < 1e-15
 
     def test_norm_preserved(self):
-        prog = build_sel_circuit(AnsatzSpec("SEL", 4, 6, seed=9))
+        prog = build_sel_circuit(4, 6, seed=9)
         psi = run_ideal(prog, basis_statevector(4))
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_matches_statevector_oracle(self):
-        prog = build_sel_circuit(AnsatzSpec("SEL", 3, 2, seed=17))
+        prog = build_sel_circuit(3, 2, seed=17)
         psi = run_ideal(prog, basis_statevector(3))
         expected = statevector_run(prog, basis_statevector(3))
         assert np.abs(psi - expected).max() < 1e-12
 
     def test_matches_density_route_at_zero_noise(self):
         # density-matrix route as oracle: dominant eigenvector overlap
-        prog = build_sel_circuit(AnsatzSpec("SEL", 3, 1, seed=21))
+        prog = build_sel_circuit(3, 1, seed=21)
         psi = run_ideal(prog, basis_statevector(3))
         rho = run_circuit(prog, DensityMatrix.basis_state(3))
         overlap = float(np.vdot(psi, rho.data @ psi).real)
@@ -330,7 +329,7 @@ def _long_program(name, per_gate_error):
     """SEL on 5 or 7 qubits, or the 4-qubit HVA-SPARSE molecule at 64 layers (7042 gates)."""
     if name.startswith("sel"):
         n_qubits, n_layers = {"sel5": (5, 200), "sel7": (7, 128)}[name]
-        program = build_sel_circuit(AnsatzSpec("SEL", n_qubits, n_layers, seed=4))
+        program = build_sel_circuit(n_qubits, n_layers, seed=4)
     else:
         config = ExperimentConfig(
             family="HVA-SPARSE",
@@ -412,7 +411,7 @@ class TestFusedKernel:
         # the kernel holds O(n) small maps, not one per gate
         peaks = []
         for layers in (50, 200):
-            program = build_sel_circuit(AnsatzSpec("SEL", 5, layers, seed=4)).with_noise(1e-3)
+            program = build_sel_circuit(5, layers, seed=4).with_noise(1e-3)
             initial = DensityMatrix.basis_state(5)
             run_circuit(program, initial)  # warm-up
             tracemalloc.start()
