@@ -95,14 +95,15 @@ def build_sparse_hva_layer(
         raise InvalidDistributionError("all sampling weights are zero")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(terms), size=k_terms, p=weights / total)
+    templates = [Gate.pauli_exponential(pauli, 0.0) for _, pauli in terms]  # support built once
     gates = []
     for idx in chosen:
-        coeff, pauli = terms[idx]
         if angle is None:
             theta = rng.uniform(-_TWO_PI, _TWO_PI)
         else:
-            theta = angle * total * np.sign(coeff) / k_terms
-        gates.append(Gate.pauli_exponential(pauli, theta))
+            theta = angle * total * np.sign(terms[idx][0]) / k_terms
+        template = templates[idx]
+        gates.append(Gate(template.kind, template.qubits, float(theta), template.pauli))
     return gates
 
 

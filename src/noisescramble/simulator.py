@@ -1,27 +1,26 @@
 """Dense density-matrix simulation of noisy circuits.
 
-The density matrix is held as a rank-2N tensor, N row axes then N column
-axes, and gates are small-matrix contractions on it, which keeps a
-10-qubit, multi-thousand-gate sweep in the seconds-to-minutes range without
-any sparse machinery. Noise is a fixed policy: after each ideal gate, an
-independent single-qubit depolarising channel acts on every support qubit
-at a rate chosen so the probability that the whole gate is error-free is
-exactly 1 - epsilon.
+Noise is a fixed policy: after each ideal gate, an independent
+single-qubit depolarising channel acts on every support qubit at a rate
+chosen so the probability that the whole gate is error-free is exactly
+1 - epsilon.
 
-One walk over the program (``_evolve``) builds each gate's matrix once and
-feeds it both to the ideal state vector and to the fused kernel for the
-noisy state; ``run_circuit`` and ``run_ideal`` are wrappers over it. Pauli
-strings' signed permutations and ``_apply_matrix``'s axis orders are
-cached. The fused kernel turns each noisy gate on k <= 2 qubits into one
-superoperator D(p)^(x k) o (U (x) U*) on the gate's (row, column) axis
-pairs and fuses consecutive gates into one map while their joint support
-has at most two qubits, moving a gate back past ops on other qubits. A gate
-on three or more qubits applies U to the rows and U* to the columns; its
-per-qubit noise maps start new fusable ops. Fusion only composes linear
-maps and commutes maps on disjoint qubits, so it changes results by
-rounding alone. Each fused op is applied as soon as no later gate can merge
-into it, so the kernel holds O(N) small maps however long the circuit. The
-state is symmetrised once, at the end.
+``run_circuit`` evolves the noisy state as its real Pauli coefficients
+c_P = tr(P rho), one axis of 4 per qubit in the order I, X, Y, Z. Every
+noisy gate is a real Pauli transfer map in closed form: rotations and
+Pauli exponentials turn each anticommuting Pauli towards -i P Q by cos and
+sin of the angle, H and CNOT are signed permutations, and the noise scales
+each non-identity factor by 1 - p. Row 0 of every map is exactly e_0, so
+the trace is kept by construction. Maps on k <= 2 qubits are fused while
+their joint support has at most two qubits, moving a gate back past ops on
+other qubits; fusion only composes linear maps and commutes maps on
+disjoint qubits, so it changes results by rounding alone. A Pauli
+exponential on more qubits and its noise are one op that pairs
+coefficients, never a dense 4^k map. Each op is applied as soon as no
+later gate can merge into it, so the kernel holds O(N) small maps however
+long the circuit. The state enters the Pauli basis once and leaves it once,
+as an exactly Hermitian d x d matrix. ``run_ideal`` applies each gate's
+unitary to a state vector.
 """
 
 from __future__ import annotations
@@ -261,56 +260,96 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) ->
     return out.transpose(inverse)
 
 
-# Superoperators act on a qubit's (row, column) index pair, flattened as
-# 2 * row + column; a map on two qubits uses the pair order r1 c1 r2 c2.
+# Pauli coefficients c_P = tr(P rho) have one axis of 4 per qubit, in the
+# order I, X, Y, Z. On one qubit, Pauli a times Pauli b is i^_PHASE[a, b]
+# times Pauli a ^ b.
+_PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
 _ID_MAP = np.eye(4)
+# Per qubit, from rho's 2 x 2 block, flattened as 2 * row + column, to (I, X, Y, Z).
+_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_FROM_PAULI = 0.5 * _TO_PAULI.conj().T
+_ZERO_STATE = np.array([1.0, 0.0, 0.0, 1.0])  # |0><0| = (I + Z) / 2
+# H = X Ry(pi/2) and CNOT = exp(-i pi/4 Z_c) exp(-i pi/4 X_t) exp(i pi/4 Z_c X_t),
+# up to global phases, as Pauli rotations (P, phi) = exp(-i phi P / 2), the
+# first applied last; their rounded product is the exact signed permutation.
+_CLIFFORDS = {
+    "h": (("X", math.pi), ("Y", math.pi / 2)),
+    "cnot": (("ZI", math.pi / 2), ("IX", math.pi / 2), ("ZX", -math.pi / 2)),
+}
 
 
-def _depolarising_map(rate: float) -> np.ndarray:
-    """The partial-replace channel (1 - p) rho + p tr(rho) Id/2 as a 4x4 map.
+@functools.lru_cache(maxsize=256)
+def _rotation_parts(pauli: str, rate: float) -> tuple:
+    """exp(-i phi P / 2) for a Pauli string P, then the noise at ``rate``, as
+    fixed + cos(phi) rotating + sin(phi) mixing, and the partner table.
 
-    Valid (CPTP) for p in [0, 4/3]; p above 1 realises the uniform-Pauli
-    error channel. The populations keep ``stay`` and swap ``1 - stay``,
-    which sum to one exactly in floating point, so rounding does not bias
-    the trace.
+    A Pauli Q that commutes with P is fixed. One that anticommutes becomes
+    cos(phi) Q + sin(phi) (-i P Q), where -i P Q = s R for the Pauli R at
+    flat index ``partner[Q]`` and a sign s = +-1, so c_Q becomes
+    cos(phi) c_Q - s sin(phi) c_R. The noise scales each row by 1 - rate
+    per non-identity factor. On at most two qubits the parts are dense
+    transfer matrices; on more they are the diagonal, diagonal and
+    off-diagonal vectors of ``_Op``.
     """
-    stay = 1.0 - 0.5 * rate
-    swap = 1.0 - stay
-    coherence = 1.0 - rate
-    return np.array(
-        [
-            [stay, 0.0, 0.0, swap],
-            [0.0, coherence, 0.0, 0.0],
-            [0.0, 0.0, coherence, 0.0],
-            [swap, 0.0, 0.0, stay],
-        ]
+    codes = ["IXYZ".index(c) for c in pauli]
+    phase = functools.reduce(lambda acc, a: np.add.outer(acc, _PHASE[a]), codes, 0).ravel() % 4
+    partner = np.arange(4 ** len(pauli)) ^ int("".join(map(str, codes)), 4)
+    one = np.array([1.0, 1.0 - rate, 1.0 - rate, 1.0 - rate])
+    scale = functools.reduce(np.multiply.outer, [one] * len(pauli)).ravel()
+    anti = phase % 2
+    parts = [scale * (1 - anti), scale * anti, scale * anti * (phase - 2)]
+    if len(pauli) <= 2:
+        parts[:2] = [np.diag(part) for part in parts[:2]]
+        parts[2] = np.diag(parts[2])[:, partner]
+    for part in (*parts, partner):
+        part.setflags(write=False)
+    return (*parts, partner)
+
+
+def _rotation(pauli: str, phi: float, rate: float):
+    """The map of exp(-i phi P / 2) and noise (see ``_rotation_parts``)."""
+    fixed, rotating, mixing, partner = _rotation_parts(pauli, rate)
+    if len(pauli) <= 2:
+        return fixed + math.cos(phi) * rotating + math.sin(phi) * mixing
+    return fixed + math.cos(phi) * rotating, math.sin(phi) * mixing, partner
+
+
+@functools.lru_cache(maxsize=64)
+def _clifford_ptm(kind: str, reverse: bool, rate: float) -> np.ndarray:
+    """The noisy transfer matrix of H or CNOT, in the pair order (target,
+    control) with ``reverse``."""
+    rotations = [_rotation(p[::-1] if reverse else p, phi, 0.0) for p, phi in _CLIFFORDS[kind]]
+    mat = _rotation("I" * len(_CLIFFORDS[kind][0][0]), 0.0, rate) @ np.rint(
+        functools.reduce(np.matmul, rotations)
     )
+    mat.setflags(write=False)
+    return mat
+
+
+def _noisy_ptm(gate: Gate, rate: float):
+    """The gate, then the partial-replace channel at ``rate`` on each support
+    qubit, as a map on the support's Pauli coefficients.
+
+    Returns the support, a CNOT's pair in ascending order, and the map in
+    that order (see ``_rotation_parts``). Every map fixes c_I: its row 0 is
+    exactly e_0.
+    """
+    qubits = gate.qubits
+    if gate.kind in _CLIFFORDS:
+        reverse = len(qubits) == 2 and qubits[0] > qubits[1]
+        return (qubits[::-1] if reverse else qubits), _clifford_ptm(gate.kind, reverse, rate)
+    if gate.kind == "pauli_exp":
+        pauli, phi = gate.pauli, 2.0 * gate.angle
+    elif gate.kind in ("rx", "ry", "rz"):
+        pauli, phi = gate.kind[1].upper(), gate.angle
+    else:
+        raise InvalidGateError(f"unknown gate kind {gate.kind!r}")
+    return qubits, _rotation(pauli, phi, rate)
 
 
 def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """first (x) second for two single-qubit maps, in pair order."""
     return (first.reshape(4, 1, 4, 1) * second.reshape(1, 4, 1, 4)).reshape(16, 16)
-
-
-def _unitary_map(mat: np.ndarray) -> np.ndarray:
-    """rho -> U rho U^dagger as a 4^k x 4^k map, in pair order."""
-    k = mat.shape[0].bit_length() - 1
-    rows = mat.reshape((2, 1) * (2 * k))
-    cols = mat.conj().reshape((1, 2) * (2 * k))
-    return (rows * cols).reshape(4**k, 4**k)
-
-
-def _noisy_gate_map(mat: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """D^(x k) o (U (x) U*) for a gate on k <= 2 qubits, in pair order.
-
-    Each D is applied to its own qubit's rows rather than as one product
-    D (x) D, whose rounded entries would bias the trace at every gate.
-    """
-    out = _unitary_map(mat)
-    if len(out) == 4:
-        return noise @ out
-    out = (noise @ out.reshape(4, 64)).reshape(16, 16)
-    return (noise @ out.reshape(4, 4, 16)).reshape(16, 16)
 
 
 def _on_support(mat: np.ndarray, qubits, target) -> np.ndarray:
@@ -325,10 +364,11 @@ def _on_support(mat: np.ndarray, qubits, target) -> np.ndarray:
 
 
 class _Op:
-    """One step of the fused kernel.
+    """One step of the fused kernel, on the Pauli coefficients of ``qubits``.
 
-    On at most two qubits, ``matrix`` is a superoperator in pair order; on
-    three or more it is a bare gate unitary.
+    On at most two qubits, ``matrix`` is a transfer matrix in pair order; on
+    three or more it is a Pauli exponential's tables (diagonal, off,
+    partner): coefficient Q becomes diagonal[Q] c_Q + off[Q] c_partner[Q].
     """
 
     __slots__ = ("qubits", "matrix", "order", "sealed")
@@ -347,64 +387,60 @@ class _Op:
         )
         self.qubits = target
 
-    def apply(self, tensor: np.ndarray, n: int) -> np.ndarray:
-        if len(self.qubits) <= 2:  # on the (row, column) axis pairs, r1 c1 r2 c2
-            axes = tuple([axis for q in self.qubits for axis in (q, n + q)])
-            return _apply_matrix(tensor, self.matrix, axes)
-        # U rho U^dagger: U on the row axes, then U* on the column axes
-        tensor = _apply_matrix(tensor, self.matrix, self.qubits)
-        return _apply_matrix(tensor, self.matrix.conj(), tuple([n + q for q in self.qubits]))
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        k, first = len(self.qubits), self.qubits[0]
+        if self.qubits == tuple(range(first, first + k)):  # adjacent: no transpose
+            inverse, moved = None, state.reshape(4**first, 4**k, -1)
+        else:
+            order, inverse = _axis_orders(self.qubits, state.ndim)
+            moved = state.transpose(order).reshape(1, 4**k, -1)
+        if k > 2:
+            diagonal, off, partner = self.matrix
+            out = diagonal[:, None] * moved + off[:, None] * moved[:, partner]
+        elif moved.shape[2] == 1:  # the last qubits: one matmul beats a broadcast one
+            out = moved.reshape(-1, 4**k) @ self.matrix.T
+        else:
+            out = np.matmul(self.matrix, moved)
+        out = out.reshape(state.shape)
+        return out if inverse is None else out.transpose(inverse)
 
 
-def _fused_ops(program: CircuitProgram, matrices):
+def _fused_ops(program: CircuitProgram):
     """Yield the program's noisy gates as fused ops, in an order that is exact.
 
-    ``matrices`` yields the gates' unitaries in order. A gate on k <= 2
-    qubits becomes the map D(p)^(x k) o (U (x) U*), where D is the per-qubit
-    depolarising channel. It is composed into the latest op touching its
-    support when their joint support has at most two qubits; the ops after
-    that one act on other qubits, so the gate commutes past them. A wider
-    gate becomes a bare unitary op followed by one D map per support qubit,
-    and later gates fuse into those maps.
+    Each gate and its noise is one map on the Pauli coefficients of its
+    support (``_noisy_ptm``). A map on k <= 2 qubits is composed into the
+    latest op touching its support when their joint support has at most two
+    qubits; the ops after that one act on other qubits, so the gate commutes
+    past them. A wider gate is an op of its own.
 
     Once every qubit of an op has a later op, no later gate can merge into
     it: it is yielded, after the earlier held ops it overlaps, which are
     sealed against later merges. Every op still held is then the latest on
-    one of its qubits, so at most n ops are held between gates; placing a
-    gate on k qubits adds at most k + 1 until the ops it supersedes go.
+    one of its qubits, so at most n ops are held between gates, and one more
+    while a gate is placed.
     """
-    noise = program.noise
-    noise_maps = {}
+    rates = {}
     pending: list[_Op] = []
     latest: list[_Op | None] = [None] * program.n_qubits
     order = 0
-    for gate, mat in zip(program.gates, matrices):
+    for gate in program.gates:
         k = len(gate.qubits)
-        if k not in noise_maps:
-            noise_maps[k] = _depolarising_map(noise.per_qubit_replace_rate(k))
-        if k <= 2:
-            steps = [(gate.qubits, _noisy_gate_map(mat, noise_maps[k]))]
+        if k not in rates:
+            rates[k] = program.noise.per_qubit_replace_rate(k)
+        qubits, matrix = _noisy_ptm(gate, rates[k])
+        owners = [latest[q] for q in qubits if latest[q] is not None]
+        owner = max(owners, key=lambda op: op.order, default=None)
+        if owner is not None and not owner.sealed and len(set(owner.qubits).union(qubits)) <= 2:
+            owner.absorb(qubits, matrix)
         else:
-            steps = [(gate.qubits, mat)]
-            if noise.per_gate_error > 0.0:
-                steps += [((q,), noise_maps[k]) for q in gate.qubits]
+            order += 1
+            owner = _Op(qubits, matrix, order)
+            pending.append(owner)
         superseded = False
-        for qubits, matrix in steps:
-            owners = [latest[q] for q in qubits if latest[q] is not None]
-            owner = max(owners, key=lambda op: op.order, default=None)
-            if (
-                owner is not None
-                and not owner.sealed
-                and len(set(owner.qubits).union(qubits)) <= 2
-            ):
-                owner.absorb(qubits, matrix)
-            else:
-                order += 1
-                owner = _Op(qubits, matrix, order)
-                pending.append(owner)
-            for q in qubits:
-                superseded = superseded or latest[q] not in (None, owner)
-                latest[q] = owner
+        for q in qubits:
+            superseded = superseded or latest[q] not in (None, owner)
+            latest[q] = owner
         if superseded:
             kept, ready, needed = [], [], set()
             for op in reversed(pending):
@@ -419,46 +455,33 @@ def _fused_ops(program: CircuitProgram, matrices):
     yield from pending
 
 
-def _hermitian_part(tensor: np.ndarray, d: int) -> np.ndarray:
-    """(M + M^dagger)/2 of the state tensor M, as a d x d matrix.
+def _per_qubit(x: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
+    """``mat`` applied on every qubit's axis of 4, two qubits per pass; each
+    pass moves the leading qubits last, so the axes end in their first order."""
+    pair = np.kron(mat, mat)
+    for _ in range(n // 2):
+        x = x.reshape(16, -1).T @ pair.T
+    return x.reshape(4, -1).T @ mat.T if n % 2 else x
 
-    A function of its own, so the contiguous copy of M is freed before the
-    caller checks the result.
+
+def _to_pauli(initial: DensityMatrix) -> np.ndarray:
+    """The Pauli coefficients of a density matrix, one axis of 4 per qubit."""
+    n, data = initial.n_qubits, initial.data
+    if data[0, 0] == 1.0 and np.count_nonzero(data) == 1:  # |0...0><0...0|
+        return functools.reduce(np.multiply.outer, [_ZERO_STATE] * n, 1.0)
+    pairs = data.reshape((2,) * (2 * n)).transpose([q + n * j for q in range(n) for j in (0, 1)])
+    return _per_qubit(pairs, _TO_PAULI, n).real.reshape((4,) * n)
+
+
+def _from_pauli(x: np.ndarray, n: int) -> np.ndarray:
+    """The d x d density matrix with Pauli coefficients x.
+
+    It is exactly Hermitian: an entry and its mirror add the same terms,
+    scaled by conjugate factors (0, or a power of two times +-1 or +-i),
+    which round alike.
     """
-    m = np.ascontiguousarray(tensor).reshape(d, d)
-    return 0.5 * (m + m.conj().T)
-
-
-def _evolve(program: CircuitProgram, initial: DensityMatrix | None, psi: np.ndarray | None):
-    """The noisy output state and the ideal output vector, from one walk over the gates.
-
-    Each gate's matrix is built once, applied to ``psi`` and fed to the fused
-    kernel that evolves ``initial``. A start state given as None stays None.
-    """
-    n = program.n_qubits
-    if initial is not None and initial.n_qubits != n:
-        raise ShapeError(f"program has {n} qubits, state has {initial.n_qubits}")
-    if psi is not None:
-        psi = _check_vector(psi, 2**n).reshape((2,) * n)
-
-    def matrices():
-        nonlocal psi
-        for gate in program.gates:
-            mat = gate.matrix()
-            if psi is not None:
-                psi = _apply_matrix(psi, mat, gate.qubits)
-            yield mat
-
-    rho = None
-    if initial is None:
-        for _ in matrices():
-            pass
-    else:
-        t = initial.data.reshape((2,) * (2 * n))
-        for op in _fused_ops(program, matrices()):
-            t = op.apply(t, n)
-        rho = DensityMatrix(n, _hermitian_part(t, initial.dim))
-    return rho, None if psi is None else psi.reshape(-1)
+    pairs = _per_qubit(x, _FROM_PAULI, n).reshape((2,) * (2 * n))
+    return pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(2**n, 2**n)
 
 
 def run_circuit(program: CircuitProgram, initial: DensityMatrix) -> DensityMatrix:
@@ -471,12 +494,22 @@ def run_circuit(program: CircuitProgram, initial: DensityMatrix) -> DensityMatri
     (generally pure) state. The gates are applied as fused ops (see
     ``_fused_ops``), which changes the result only by rounding.
     """
-    return _evolve(program, initial, None)[0]
+    n = program.n_qubits
+    if initial.n_qubits != n:
+        raise ShapeError(f"program has {n} qubits, state has {initial.n_qubits}")
+    x = _to_pauli(initial)
+    for op in _fused_ops(program):
+        x = op.apply(x)
+    return DensityMatrix(n, _from_pauli(x, n))
 
 
 def run_ideal(program: CircuitProgram, initial: np.ndarray) -> np.ndarray:
     """Noise-free state-vector simulation of the same gate sequence."""
-    return _evolve(program, None, initial)[1]
+    n = program.n_qubits
+    psi = _check_vector(initial, 2**n).reshape((2,) * n)
+    for gate in program.gates:
+        psi = _apply_matrix(psi, gate.matrix(), gate.qubits)
+    return psi.reshape(-1)
 
 
 def basis_statevector(n_qubits: int) -> np.ndarray:

@@ -4,6 +4,8 @@ scipy.linalg.expm and Kronecker products, and the noise is applied as a
 literal Kraus sum.
 """
 
+import itertools
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -50,6 +52,42 @@ def depolarising_kraus(qubit, rate, n):
     for pauli in (X, Y, Z):
         ops.append(np.sqrt(rate / 3.0) * embed({qubit: pauli}, n))
     return ops
+
+
+def depolarising_pair_map(rate):
+    """The partial-replace channel at ``rate`` on a qubit's (row, column) index
+    pair, flattened as 2 * row + column, as the superoperator kernel built it."""
+    stay = 1.0 - 0.5 * rate
+    swap = 1.0 - stay
+    coherence = 1.0 - rate
+    return np.array(
+        [
+            [stay, 0.0, 0.0, swap],
+            [0.0, coherence, 0.0, 0.0],
+            [0.0, 0.0, coherence, 0.0],
+            [swap, 0.0, 0.0, stay],
+        ]
+    )
+
+
+def pauli_transfer_matrix(u, rate=0.0):
+    """T S T^-1 for the superoperator S = D^(x k) (U (x) U*) of a k-qubit gate
+    U followed by ``depolarising_pair_map(rate)`` on each qubit; row P of T
+    takes a row-major vec(rho) to tr(P rho), Paulis in the order I, X, Y, Z
+    per qubit, qubit 0 most significant."""
+    k = len(u).bit_length() - 1
+    sup = np.kron(u, u.conj()).reshape((2,) * (2 * k) + (-1,))
+    noise = depolarising_pair_map(rate).reshape(2, 2, 2, 2)
+    for q in range(k):
+        sup = np.tensordot(noise, sup, axes=([2, 3], [q, k + q]))
+        sup = np.moveaxis(sup, (0, 1), (q, k + q))
+    sup = sup.reshape(4**k, 4**k)
+    paulis = [
+        embed({q: PAULI[c] for q, c in enumerate(ops) if c != "I"}, k)
+        for ops in itertools.product("IXYZ", repeat=k)
+    ]
+    t = np.array([p.T.reshape(-1) for p in paulis])
+    return t @ sup @ t.conj().T / 2**k
 
 
 def kraus_run(program, rho):

@@ -33,6 +33,7 @@ from noisescramble.cli import main as cli_main
 from noisescramble.harness import CONFIG_SCHEMA_VERSION
 
 from .conftest import REPO_ROOT
+from .oracles import kraus_run
 
 
 def small_config(**overrides):
@@ -188,42 +189,48 @@ class TestRunSweep:
         assert parsed[0].uniformity == pytest.approx(rows[0].uniformity)
 
 
+def _grid_programs(config):
+    """(epsilon, seed index, noisy program) of each sweep row, in run_sweep's order."""
+    file_hamiltonian = None
+    if config.hamiltonian_file is not None:
+        file_hamiltonian = load_hamiltonian_file(config.hamiltonian_file)
+    for epsilon in config.epsilons:
+        for layer_index, n_layers in enumerate(config.layers):
+            for seed_index in config.seeds:
+                row_seed = derive_seed(
+                    config.seed, config.family, config.n_qubits, epsilon, layer_index, seed_index
+                )
+                program = build_program(
+                    config,
+                    n_layers,
+                    ansatz_seed=derive_seed(row_seed, "ansatz"),
+                    hamiltonian_seed=derive_seed(row_seed, "hamiltonian"),
+                    file_hamiltonian=file_hamiltonian,
+                )
+                yield epsilon, seed_index, program.with_noise(epsilon)
+
+
 class TestOneEvolutionPass:
     """run_sweep gets rho and psi from one walk that builds each gate once."""
 
     @staticmethod
     def _rows_from_separate_calls(config):
         """The sweep's rows, from run_circuit, run_ideal and the report called one by one."""
-        file_hamiltonian = None
-        if config.hamiltonian_file is not None:
-            file_hamiltonian = load_hamiltonian_file(config.hamiltonian_file)
         n = config.n_qubits
         rows = []
-        for epsilon in config.epsilons:
-            for layer_index, n_layers in enumerate(config.layers):
-                for seed_index in config.seeds:
-                    row_seed = derive_seed(
-                        config.seed, config.family, n, epsilon, layer_index, seed_index
-                    )
-                    program = build_program(
-                        config,
-                        n_layers,
-                        ansatz_seed=derive_seed(row_seed, "ansatz"),
-                        hamiltonian_seed=derive_seed(row_seed, "hamiltonian"),
-                        file_hamiltonian=file_hamiltonian,
-                    ).with_noise(epsilon)
-                    rho = run_circuit(program, DensityMatrix.basis_state(n))
-                    psi = run_ideal(program, basis_statevector(n))
-                    eta = math.exp(program.gate_count * math.log1p(-epsilon))
-                    report = compute_spectral_report(rho, psi, eta_estimate=eta)
-                    rows.append(
-                        ResultRow(
-                            config.family, n, epsilon, program.gate_count, seed_index,
-                            report.uniformity, report.commutator_rel, report.commutator_abs,
-                            report.fidelity, report.lambda1, report.trace_dist_wn, eta,
-                            0.0, report.degenerate_reason,
-                        )
-                    )
+        for epsilon, seed_index, program in _grid_programs(config):
+            rho = run_circuit(program, DensityMatrix.basis_state(n))
+            psi = run_ideal(program, basis_statevector(n))
+            eta = math.exp(program.gate_count * math.log1p(-epsilon))
+            report = compute_spectral_report(rho, psi, eta_estimate=eta)
+            rows.append(
+                ResultRow(
+                    config.family, n, epsilon, program.gate_count, seed_index,
+                    report.uniformity, report.commutator_rel, report.commutator_abs,
+                    report.fidelity, report.lambda1, report.trace_dist_wn, eta,
+                    0.0, report.degenerate_reason,
+                )
+            )
         return rows
 
     @pytest.mark.parametrize(
@@ -272,6 +279,41 @@ class TestOneEvolutionPass:
         (row,) = run_sweep(config)
         assert row.nu > 0
         assert len(calls) == row.nu
+
+
+class TestTinyRate:
+    """At the rates the sweeps run, 1 - lambda1 is about 1e-6: the rows'
+    small quantities must match the literal Kraus-sum evolution."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(family="SEL", n_qubits=6, layers=(16,)),
+            dict(
+                family="HVA-SPARSE",
+                n_qubits=4,
+                layers=(8,),
+                hamiltonian_file=str(REPO_ROOT / "perfbench" / "data" / "toy_molecule_4q.txt"),
+            ),
+        ],
+        ids=["sel6", "sparse4"],
+    )
+    def test_rows_match_kraus_oracle(self, overrides):
+        config = small_config(epsilons=(1e-8, 1e-7), seeds=(0,), **overrides)
+        rows = run_sweep(config)
+        n = config.n_qubits
+        for row, (epsilon, _, program) in zip(rows, _grid_programs(config), strict=True):
+            rho = kraus_run(program, DensityMatrix.basis_state(n).data)
+            report = compute_spectral_report(
+                DensityMatrix(n, rho), run_ideal(program, basis_statevector(n))
+            )
+            assert row.epsilon == epsilon and 1.0 - row.lambda1 > 1e-7
+            for got, expected in (
+                (1.0 - row.lambda1, 1.0 - report.lambda1),
+                (row.uniformity, report.uniformity),
+                (row.commutator_rel, report.commutator_rel),
+            ):
+                assert abs(got / expected - 1.0) <= 1e-7, (epsilon, got, expected)
 
 
 class TestSweepTrends:

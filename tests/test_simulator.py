@@ -21,10 +21,18 @@ from noisescramble import (
     run_ideal,
 )
 from noisescramble.ansatz import build_sel_circuit
-from noisescramble.simulator import _fused_ops, _Op, _pauli_tables
+from noisescramble import simulator
+from noisescramble.simulator import (
+    _fused_ops,
+    _from_pauli,
+    _noisy_ptm,
+    _Op,
+    _pauli_tables,
+    _to_pauli,
+)
 
 from .conftest import REPO_ROOT
-from .oracles import full_gate_unitary, kraus_run, statevector_run
+from .oracles import full_gate_unitary, kraus_run, pauli_transfer_matrix, statevector_run
 
 
 class TestGate:
@@ -321,8 +329,7 @@ def _mixed_program(rng, n_qubits, n_gates):
 
 
 def _fused_supports(program):
-    ops = _fused_ops(program, (gate.matrix() for gate in program.gates))
-    return [op.qubits for op in ops]
+    return [op.qubits for op in _fused_ops(program)]
 
 
 def _long_program(name, per_gate_error):
@@ -344,8 +351,8 @@ def _long_program(name, per_gate_error):
 
 
 class TestFusedKernel:
-    """run_circuit fuses gates into <= 2-qubit superoperators; the Kraus
-    oracle applies every gate and every error channel literally."""
+    """run_circuit fuses gates into <= 2-qubit Pauli transfer matrices; the
+    Kraus oracle applies every gate and every error channel literally."""
 
     @staticmethod
     def _check_against_oracle(program, epsilons=(1e-8, 0.1, 1.0)):
@@ -366,6 +373,7 @@ class TestFusedKernel:
         # Rx(0) after CNOT(0,1), CNOT(1,2) joins the op of CNOT(0,1), and
         # Ry(1) after CNOT(3,2) joins the op of CNOT(1,2). CNOT(3,2) must
         # not join the older op of H(3): the op on (1,2) lies in between.
+        # A CNOT op lists its pair in ascending order.
         program = CircuitProgram(
             4,
             (
@@ -380,7 +388,7 @@ class TestFusedKernel:
             ),
         )
         supports = _fused_supports(program)
-        assert supports == [(3,), (0, 1), (1, 2), (3, 2)]
+        assert supports == [(3,), (0, 1), (1, 2), (2, 3)]
         self._check_against_oracle(program)
 
     def test_reversed_pair_cnots(self):
@@ -428,34 +436,43 @@ class TestFusedKernel:
         program = _long_program(name, per_gate_error)
         created = yielded = 0
         held = []
-        original = _Op.__init__
+        original, build = _Op.__init__, _noisy_ptm
 
         def counting(op, *args):
             nonlocal created
             created += 1
             original(op, *args)
 
-        def matrices():
-            for gate in program.gates:
-                held.append(created - yielded)
-                yield gate.matrix()
+        def arriving(gate, rate):
+            held.append(created - yielded)
+            return build(gate, rate)
 
         monkeypatch.setattr(_Op, "__init__", counting)
-        for _ in _fused_ops(program, matrices()):
+        monkeypatch.setattr(simulator, "_noisy_ptm", arriving)
+        for _ in _fused_ops(program):
             yielded += 1
         assert created == yielded > program.n_qubits
         assert max(held) <= 2 * program.n_qubits, max(held)
 
     @pytest.mark.parametrize("name, per_gate_error", [("sel7", 1e-8), ("sparse4", 1e-7)])
     def test_state_stays_hermitian_without_symmetrising(self, name, per_gate_error):
-        # why run_circuit symmetrises only once, at the end
+        # why run_circuit never symmetrises: the state is real Pauli
+        # coefficients, every map keeps c_I, and the conversion back to a
+        # matrix rounds an entry and its mirror alike
         program = _long_program(name, per_gate_error)
         n = program.n_qubits
-        t = DensityMatrix.basis_state(n).data.reshape((2,) * (2 * n))
-        for op in _fused_ops(program, (gate.matrix() for gate in program.gates)):
-            t = op.apply(t, n)
-        m = t.reshape(2**n, 2**n)
-        assert np.abs(m - m.conj().T).max() < 1e-13
+        x = _to_pauli(DensityMatrix.basis_state(n))
+        for op in _fused_ops(program):
+            x = op.apply(x)
+        assert x.dtype == np.float64 and x.reshape(-1)[0] == 1.0
+        m = _from_pauli(x, n)
+        assert np.abs(m - m.conj().T).max() == 0.0
+        assert abs(np.trace(m) - 1.0) <= 1e-15
+
+    def test_sparse_program_has_no_more_ops_than_gates(self):
+        # a 3-4 qubit Pauli exponential and its noise are one op
+        program = _long_program("sparse4", 1e-7)
+        assert len(list(_fused_ops(program))) <= program.gate_count == 7042
 
 
 def _embedded(gate, n):
@@ -497,3 +514,41 @@ class TestGateMatrixCaches:
                 gate = Gate.pauli_exponential(ops, angle)
                 expected = full_gate_unitary(gate, length)
                 assert np.abs(_embedded(gate, length) - expected).max() < 1e-14, ops
+
+
+def _dense(ptm):
+    """A transfer matrix from ``_noisy_ptm``, expanded from tables on 3+ qubits."""
+    if isinstance(ptm, np.ndarray):
+        return ptm
+    diagonal, off, partner = ptm
+    out = np.diag(diagonal)
+    out[np.arange(len(partner)), partner] += off
+    return out
+
+
+class TestPauliTransferMatrices:
+    """The kernel's closed-form noisy maps against T (U (x) U*) T^-1 with the
+    superoperator kernel's depolarising map."""
+
+    @pytest.mark.parametrize("per_gate_error", [0.0, 1e-8, 0.1, 1.0])
+    def test_closed_forms_match_superoperator_oracle(self, per_gate_error):
+        gates = [Gate.hadamard(0), Gate.cnot(0, 1), Gate.cnot(1, 0)]
+        for angle in (0.83, -2.4):
+            for maker in (Gate.rotation_x, Gate.rotation_y, Gate.rotation_z):
+                gates.append(maker(0, angle))
+            for length in (1, 2, 3):
+                for ops in itertools.product("IXYZ", repeat=length):
+                    if set(ops) != {"I"}:
+                        gates.append(Gate.pauli_exponential("".join(ops), angle))
+        assert len(gates) == 3 + 2 * (3 + 3 + 15 + 63)
+        for gate in gates:
+            k = len(gate.qubits)
+            qubits, ptm = _noisy_ptm(gate, NoiseSpec(per_gate_error).per_qubit_replace_rate(k))
+            assert qubits == tuple(sorted(gate.qubits))
+            u = gate.matrix()
+            if qubits != gate.qubits:  # the CNOT listed as (target, control)
+                u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            expected = pauli_transfer_matrix(u, NoiseSpec(per_gate_error).per_qubit_replace_rate(k))
+            ptm = _dense(ptm)
+            assert np.abs(ptm - expected).max() < 1e-14, (gate.kind, gate.pauli)
+            assert np.array_equal(ptm[0], np.eye(4**k)[0]), (gate.kind, gate.pauli)
