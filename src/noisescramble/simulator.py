@@ -11,16 +11,16 @@ noisy gate is a real Pauli transfer map in closed form: rotations and
 Pauli exponentials turn each anticommuting Pauli towards -i P Q by cos and
 sin of the angle, H and CNOT are signed permutations, and the noise scales
 each non-identity factor by 1 - p. Row 0 of every map is exactly e_0, so
-the trace is kept by construction. Maps on k <= 2 qubits are fused while
-their joint support has at most two qubits, moving a gate back past ops on
-other qubits; fusion only composes linear maps and commutes maps on
-disjoint qubits, so it changes results by rounding alone. A Pauli
-exponential on more qubits and its noise are one op that pairs
-coefficients, never a dense 4^k map. Each op is applied as soon as no
-later gate can merge into it, so the kernel holds O(N) small maps however
-long the circuit. The state enters the Pauli basis once and leaves it once,
-as an exactly Hermitian d x d matrix. ``run_ideal`` applies each gate's
-unitary to a state vector.
+the trace is kept by construction. Each qubit has at most one open op,
+so the open ops are disjoint and commute. A map on k <= 2 qubits joins an
+open op it touches while their joint support has at most two qubits, and
+the other open ops it touches are applied first; fusion only composes
+linear maps and commutes maps on disjoint qubits, so it changes results by
+rounding alone. A Pauli exponential on more qubits and its noise are one
+op that pairs coefficients, never a dense 4^k map. The kernel holds at
+most N open ops however long the circuit. The state enters the Pauli basis
+once and leaves it once, as an exactly Hermitian d x d matrix.
+``run_ideal`` applies each gate's unitary to a state vector.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 _IDENTITIES: dict[int, np.ndarray] = {}  # read-only, by dimension, for _pauli_tables
+# Support size and whether an angle is needed, by gate kind; a Pauli
+# exponential acts on as many qubits as its string has letters.
+_KINDS = {
+    "rx": (1, True),
+    "ry": (1, True),
+    "rz": (1, True),
+    "h": (1, False),
+    "cnot": (2, False),
+    "pauli_exp": (0, True),
+}
 
 
 @dataclass(frozen=True)
@@ -57,11 +67,19 @@ class Gate:
     pauli: str | None = None
 
     def __post_init__(self):
-        if len(set(self.qubits)) != len(self.qubits):
+        size, angled = _KINDS.get(self.kind, (None, False))
+        if size is None:
+            raise InvalidGateError(f"unknown gate kind {self.kind!r}")
+        size = size or len(self.pauli or "")
+        if not size or len(self.qubits) != size:
+            raise InvalidGateError(f"support {self.qubits} does not fit a {self.kind} gate")
+        if len(set(self.qubits)) != size:
             raise InvalidGateError(f"repeated qubit in support {self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise InvalidGateError(f"negative qubit index in {self.qubits}")
-        if self.angle is not None and not math.isfinite(self.angle):
+        if (self.angle is not None) != angled:
+            raise InvalidGateError(f"{self.kind} gate {'needs' if angled else 'takes no'} angle")
+        if angled and not math.isfinite(self.angle):
             raise InvalidGateError(f"non-finite angle {self.angle!r}")
 
     @classmethod
@@ -82,8 +100,6 @@ class Gate:
 
     @classmethod
     def cnot(cls, control: int, target: int) -> "Gate":
-        if control == target:
-            raise InvalidGateError("CNOT control and target must differ")
         return cls("cnot", (int(control), int(target)))
 
     @classmethod
@@ -92,8 +108,6 @@ class Gate:
         if isinstance(pauli, str):
             pauli = PauliString(pauli)
         support = pauli.support
-        if not support:
-            raise InvalidGateError("identity Pauli string generates only a global phase")
         return cls("pauli_exp", support, float(angle), "".join(pauli.ops[i] for i in support))
 
     def matrix(self) -> np.ndarray:
@@ -111,13 +125,11 @@ class Gate:
             return _HADAMARD.copy()
         if self.kind == "cnot":
             return _CNOT.copy()
-        if self.kind == "pauli_exp":
-            identity, flat, odd = _pauli_tables(self.pauli)
-            coef = -1j * (1, 1j, -1, -1j)[self.pauli.count("Y") % 4] * math.sin(self.angle)
-            u = math.cos(self.angle) * identity
-            u.reshape(-1)[flat] += np.array([coef, -coef])[odd]
-            return u
-        raise InvalidGateError(f"unknown gate kind {self.kind!r}")
+        identity, flat, odd = _pauli_tables(self.pauli)  # a Pauli exponential
+        coef = -1j * (1, 1j, -1, -1j)[self.pauli.count("Y") % 4] * math.sin(self.angle)
+        u = math.cos(self.angle) * identity
+        u.reshape(-1)[flat] += np.array([coef, -coef])[odd]
+        return u
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,9 +229,13 @@ class DensityMatrix:
         if data.shape != (d, d):
             raise ShapeError(f"expected shape {(d, d)}, got {data.shape}")
         object.__setattr__(self, "data", data)
-        if np.abs(data - data.conj().T).max() > 1e-12:
+        # |rho - rho^dagger| entrywise, 64 rows at a time: no d x d temporary
+        drift = np.max(
+            [np.abs(data[i : i + 64] - data[:, i : i + 64].T.conj()).max() for i in range(0, d, 64)]
+        )
+        if not drift <= 1e-12:
             raise InvalidStateError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(data).real - 1.0) > 1e-10 or abs(np.trace(data).imag) > 1e-10:
+        if not (abs(np.trace(data).real - 1.0) <= 1e-10 and abs(np.trace(data).imag) <= 1e-10):
             raise InvalidStateError(f"trace {np.trace(data)!r} differs from 1 beyond 1e-10")
 
     @property
@@ -371,13 +387,11 @@ class _Op:
     partner): coefficient Q becomes diagonal[Q] c_Q + off[Q] c_partner[Q].
     """
 
-    __slots__ = ("qubits", "matrix", "order", "sealed")
+    __slots__ = ("qubits", "matrix")
 
-    def __init__(self, qubits, matrix, order):
+    def __init__(self, qubits, matrix):
         self.qubits = qubits
         self.matrix = matrix
-        self.order = order
-        self.sealed = False
 
     def absorb(self, qubits, matrix) -> None:
         """Compose a later map into this op; their joint support has <= 2 qubits."""
@@ -409,50 +423,39 @@ def _fused_ops(program: CircuitProgram):
     """Yield the program's noisy gates as fused ops, in an order that is exact.
 
     Each gate and its noise is one map on the Pauli coefficients of its
-    support (``_noisy_ptm``). A map on k <= 2 qubits is composed into the
-    latest op touching its support when their joint support has at most two
-    qubits; the ops after that one act on other qubits, so the gate commutes
-    past them. A wider gate is an op of its own.
-
-    Once every qubit of an op has a later op, no later gate can merge into
-    it: it is yielded, after the earlier held ops it overlaps, which are
-    sealed against later merges. Every op still held is then the latest on
-    one of its qubits, so at most n ops are held between gates, and one more
-    while a gate is placed.
+    support (``_noisy_ptm``). Each qubit has at most one open op, so the
+    open ops are disjoint and commute: any of them may be applied first. A
+    map on k <= 2 qubits joins the first open op it touches whose joint
+    support with it has at most two qubits, and every other open op it
+    touches is yielded first. A wider map yields the open ops it touches,
+    then itself. The ops still open at the end are yielded last. So at most
+    n ops are held between gates.
     """
     rates = {}
-    pending: list[_Op] = []
-    latest: list[_Op | None] = [None] * program.n_qubits
-    order = 0
+    open_ops: list[_Op | None] = [None] * program.n_qubits
     for gate in program.gates:
         k = len(gate.qubits)
         if k not in rates:
             rates[k] = program.noise.per_qubit_replace_rate(k)
         qubits, matrix = _noisy_ptm(gate, rates[k])
-        owners = [latest[q] for q in qubits if latest[q] is not None]
-        owner = max(owners, key=lambda op: op.order, default=None)
-        if owner is not None and not owner.sealed and len(set(owner.qubits).union(qubits)) <= 2:
-            owner.absorb(qubits, matrix)
+        host = None
+        for op in dict.fromkeys(open_ops[q] for q in qubits if open_ops[q] is not None):
+            if host is None and k <= 2 and len(set(op.qubits).union(qubits)) <= 2:
+                host = op
+            else:
+                for q in op.qubits:
+                    open_ops[q] = None
+                yield op
+        if host is not None:
+            host.absorb(qubits, matrix)
+        elif k > 2:
+            yield _Op(qubits, matrix)
+            continue
         else:
-            order += 1
-            owner = _Op(qubits, matrix, order)
-            pending.append(owner)
-        superseded = False
-        for q in qubits:
-            superseded = superseded or latest[q] not in (None, owner)
-            latest[q] = owner
-        if superseded:
-            kept, ready, needed = [], [], set()
-            for op in reversed(pending):
-                if needed.isdisjoint(op.qubits) and any(latest[q] is op for q in op.qubits):
-                    kept.append(op)
-                else:
-                    op.sealed = True
-                    ready.append(op)
-                    needed.update(op.qubits)
-            pending = kept[::-1]
-            yield from reversed(ready)
-    yield from pending
+            host = _Op(qubits, matrix)
+        for q in host.qubits:
+            open_ops[q] = host
+    yield from dict.fromkeys(op for op in open_ops if op is not None)
 
 
 def _per_qubit(x: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """The benchmark under perfbench/ drives the package through its public
 names; this keeps a change to the package from breaking it unseen."""
 
+import importlib.util
 import re
 
 import numpy as np
+import pytest
 
 import noisescramble as ns
 
@@ -31,3 +33,23 @@ def test_result_attributes_perfbench_reads():
     assert white.data.shape == (4, 4)
     assert ns.commutator_matrix(rho, psi).shape == (4, 4)
     assert np.isfinite(ns.trace_distance(rho, white.data))
+
+
+def test_positive_controls_run():
+    # perfbench/controls.py calls the package through the objects it is
+    # given (gate.matrix(), program.noise), which the name scan cannot see
+    path = REPO_ROOT / "perfbench" / "controls.py"
+    spec = importlib.util.spec_from_file_location("controls", path)
+    controls = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(controls)
+    program = ns.CircuitProgram(
+        2, (ns.Gate.hadamard(0), ns.Gate.cnot(0, 1), ns.Gate.rotation_y(1, 0.7))
+    ).with_noise(0.1)
+    rho = ns.run_circuit(program, ns.DensityMatrix.basis_state(2))
+    psi = ns.run_ideal(program, ns.basis_statevector(2))
+    reordered = controls.reordered_run_circuit(program, ns.DensityMatrix)
+    assert np.abs(reordered.data - rho.data).max() < 1e-14
+    report = ns.compute_spectral_report(rho, psi)
+    assert controls.residual_commutator_abs(rho.data, psi) == pytest.approx(
+        report.commutator_abs, rel=1e-10
+    )

@@ -73,6 +73,21 @@ class TestGate:
         with pytest.raises(InvalidGateError):
             Gate.rotation_x(0, float("nan"))
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("h", ()),
+            ("rx", (0,)),
+            ("cnot", (0,)),
+            ("h", (0, 1)),
+            ("pauli_exp", (0, 1), 0.3, "XYZ"),
+            ("t", (0,)),
+        ],
+    )
+    def test_malformed_definition_rejected(self, args):
+        with pytest.raises(InvalidGateError):
+            Gate(*args)
+
 
 def _run_one_gate(state, gate, per_gate_error=0.0):
     program = CircuitProgram(state.n_qubits, (gate,)).with_noise(per_gate_error)
@@ -307,24 +322,58 @@ class TestDensityMatrix:
         with pytest.raises(ShapeError):
             DensityMatrix(2, np.eye(2, dtype=complex) / 2)
 
+    @staticmethod
+    def _mixed_state():
+        return np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
+
+    def test_off_diagonal_mismatch_beyond_bound_rejected(self):
+        data = self._mixed_state()
+        data[1, 0] += 2e-12
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(1, data)
+
+    def test_imaginary_diagonal_rejected(self):
+        data = self._mixed_state()
+        data[0, 0] += 1e-11j  # inside the trace tolerance, outside Hermiticity's
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(1, data)
+
+    def test_exactly_hermitian_accepted(self, rng):
+        from .conftest import random_density_matrix
+
+        for n in (1, 4, 7):  # 7 qubits span two blocks of 64 rows
+            rho = random_density_matrix(rng, 2**n)
+            rho = 0.5 * (rho + rho.conj().T)
+            assert np.array_equal(DensityMatrix(n, rho).data, rho)
+
+    def test_nan_rejected(self):
+        data = self._mixed_state()
+        data[0, 1] = data[1, 0] = np.nan
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(1, data)
+
 
 def _mixed_program(rng, n_qubits, n_gates):
-    """Random gates of every kind, with Pauli exponentials of weight 1 to n."""
-    gates = []
+    """Random rotations, CNOTs both ways round and Pauli exponentials on 1 to
+    4 qubits. A 2-qubit gate reuses the last pair half the time, so that runs
+    of gates fuse and break in every way."""
+    gates, pair = [], (0, 1)
     for _ in range(n_gates):
         kind = rng.integers(4)
         if kind == 0:
             maker = (Gate.rotation_x, Gate.rotation_y, Gate.rotation_z)[rng.integers(3)]
             gates.append(maker(int(rng.integers(n_qubits)), float(rng.uniform(-7, 7))))
-        elif kind == 1:
-            control, target = rng.choice(n_qubits, size=2, replace=False)
-            gates.append(Gate.cnot(int(control), int(target)))
-        else:
-            weight = int(rng.integers(1, n_qubits + 1))
-            ops = ["I"] * n_qubits
-            for q in rng.choice(n_qubits, size=weight, replace=False):
-                ops[q] = str(rng.choice(list("XYZ")))
-            gates.append(Gate.pauli_exponential("".join(ops), float(rng.uniform(-4, 4))))
+            continue
+        if rng.random() < 0.5:
+            pair = tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+        if kind == 1:
+            gates.append(Gate.cnot(*pair[:: rng.choice([1, -1])]))
+            continue
+        support = pair if kind == 2 else rng.choice(n_qubits, min(4, n_qubits), replace=False)
+        ops = ["I"] * n_qubits
+        for q in support[: int(rng.integers(1, len(support) + 1))]:
+            ops[q] = str(rng.choice(list("XYZ")))
+        gates.append(Gate.pauli_exponential("".join(ops), float(rng.uniform(-4, 4))))
     return CircuitProgram(n_qubits, tuple(gates))
 
 
@@ -370,10 +419,12 @@ class TestFusedKernel:
         self._check_against_oracle(program)
 
     def test_gate_moves_back_only_past_disjoint_ops(self):
-        # Rx(0) after CNOT(0,1), CNOT(1,2) joins the op of CNOT(0,1), and
-        # Ry(1) after CNOT(3,2) joins the op of CNOT(1,2). CNOT(3,2) must
-        # not join the older op of H(3): the op on (1,2) lies in between.
-        # A CNOT op lists its pair in ascending order.
+        # Each qubit has at most one open op. CNOT(1,2) cannot join the op
+        # of H(0), CNOT(0,1): it is yielded, so Rx(0) opens a new op. Rz(2)
+        # joins the op of CNOT(1,2). CNOT(3,2) joins the op of H(3), which
+        # moves back past the op on (1, 2), yielded first. Ry(1) opens a new
+        # op. The ops still open follow in qubit order. A CNOT op lists its
+        # pair in ascending order.
         program = CircuitProgram(
             4,
             (
@@ -388,8 +439,32 @@ class TestFusedKernel:
             ),
         )
         supports = _fused_supports(program)
-        assert supports == [(3,), (0, 1), (1, 2), (2, 3)]
+        assert supports == [(0, 1), (1, 2), (0,), (1,), (2, 3)]
         self._check_against_oracle(program)
+
+    def test_random_programs_match_unfused_maps(self, rng):
+        # the fused ops against the same noisy maps applied one gate at a time
+        from .conftest import random_density_matrix
+
+        widths = set()
+        for trial in range(50):
+            n = 2 + trial % 5
+            program = _mixed_program(rng, n, 40).with_noise(float(rng.choice([0.0, 1e-3, 0.3])))
+            initial = DensityMatrix(n, random_density_matrix(rng, 2**n))
+            x = _to_pauli(initial)
+            for gate in program.gates:
+                rate = program.noise.per_qubit_replace_rate(len(gate.qubits))
+                x = _Op(*_noisy_ptm(gate, rate)).apply(x)
+            rho = run_circuit(program, initial)
+            assert np.abs(rho.data - _from_pauli(x, n)).max() <= 1e-13, trial
+            widths.update(len(g.qubits) for g in program.gates)
+        assert widths == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("name, n_qubits, n_layers", [("sel5", 5, 200), ("sel7", 7, 128)])
+    def test_sel_layer_fuses_to_one_op_per_qubit(self, name, n_qubits, n_layers):
+        # one op per ring CNOT, holding the rotations next to it; only the
+        # first rotations on qubit 1 are an op of their own
+        assert len(_fused_supports(_long_program(name, 1e-3))) == n_qubits * n_layers + 1
 
     def test_reversed_pair_cnots(self):
         program = CircuitProgram(
