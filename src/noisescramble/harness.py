@@ -26,7 +26,7 @@ from .hamiltonians import (
     load_hamiltonian_file,
 )
 from .metrics import compute_spectral_report
-from .simulator import CircuitProgram, DensityMatrix, basis_statevector, run_circuit, run_ideal
+from .simulator import CircuitProgram, basis_statevector, run_circuit, run_ideal
 
 FAMILIES = ("SEL", "HVA-XXX", "HVA-TFI", "HVA-TFI-RZ", "HVA-SPARSE")
 
@@ -246,7 +246,7 @@ def _compute_row(
         file_hamiltonian=file_hamiltonian,
     ).with_noise(epsilon)
     started = time.perf_counter()
-    rho = run_circuit(program, DensityMatrix.basis_state(config.n_qubits))
+    rho = run_circuit(program)
     psi = run_ideal(program, basis_statevector(config.n_qubits))
     eta_est = _no_error_probability(epsilon, program.gate_count)
     report = compute_spectral_report(rho, psi, eta_estimate=eta_est)

@@ -27,7 +27,7 @@ from .errors import (
     PoleError,
     ShapeError,
 )
-from .simulator import DensityMatrix, _check_vector
+from .simulator import DensityMatrix, _check_hermitian, _check_vector
 
 _PURITY_TOL = 1e-12  # above 1 - this, the dominant eigenvalue counts as 1
 _CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped to 0
@@ -65,8 +65,7 @@ def eigendecompose(rho, psi_id: np.ndarray | None = None) -> SpectralDecompositi
     mat = _as_matrix(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > 1e-10:
-        raise InvalidStateError("matrix is not Hermitian within 1e-10")
+    _check_hermitian(mat, 1e-10)
     if psi_id is not None:
         _check_vector(psi_id, mat.shape[0])
     vals = np.linalg.eigvalsh(mat)
@@ -98,7 +97,9 @@ def trace_distance(a, b) -> float:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ShapeError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return float(np.abs(np.linalg.eigvalsh(ma - mb)).sum())
+    diff = ma - mb
+    _check_hermitian(diff, 1e-10)
+    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def commutator_matrix(rho, psi_id: np.ndarray) -> np.ndarray:
@@ -290,19 +291,15 @@ def white_noise_distance_identity(
         raise InvalidRateError(f"eta {eta!r} outside [0, 1]")
     err = _as_matrix(rho_err)
     psi = _check_vector(psi_id, err.shape[0])
-    if np.abs(err - err.conj().T).max() > 1e-10:
-        raise InvalidStateError("error matrix is not Hermitian within 1e-10")
+    _check_hermitian(err, 1e-10)
     if abs(np.trace(err).real - 1.0) > 1e-8:
         raise InvalidStateError("error matrix trace differs from 1 beyond 1e-8")
     mu = np.linalg.eigvalsh(err)
     if mu[0] < -1e-10:
         raise InvalidStateError(f"error matrix eigenvalue {mu[0]:.3e} below -1e-10")
-    d = err.shape[0]
-    ideal = np.outer(psi, psi.conj())
-    rho = eta * ideal + (1.0 - eta) * err
-    wn = eta * ideal + (1.0 - eta) * np.eye(d) / d
-    lhs = 0.5 * trace_distance(rho, wn)
-    rhs = 0.5 * (1.0 - eta) * float(np.abs(mu - 1.0 / d).sum())
+    rho = eta * np.outer(psi, psi.conj()) + (1.0 - eta) * err
+    lhs = 0.5 * trace_distance(rho, build_white_noise_state(psi, eta).data)
+    rhs = 0.5 * (1.0 - eta) * float(np.abs(mu - 1.0 / mu.size).sum())
     return lhs, rhs
 
 
@@ -342,8 +339,12 @@ def compute_spectral_report(
     degenerate = lam1 >= 1.0 - _PURITY_TOL
     uniformity = None if degenerate else eigenvalue_uniformity(decomposition)
     commutator_rel = None if degenerate else commutator_abs / (1.0 - lam1)
-    wn = build_white_noise_state(psi, lam1)
-    dist_wn = trace_distance(mat, wn.data)
+    # rho - rho_wn in one working matrix, rounded as rho - rho_wn rounds
+    work = np.outer(psi, psi.conj())
+    work *= -lam1
+    work.reshape(-1)[:: psi.size + 1] -= (1.0 - lam1) / psi.size
+    work += mat
+    dist_wn = float(np.abs(np.linalg.eigvalsh(work)).sum())
     error_overlap = None
     if eta_estimate is not None and eta_estimate < 1.0 - 1e-15:
         error_overlap = (f - eta_estimate) / (1.0 - eta_estimate)

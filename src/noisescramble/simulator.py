@@ -17,9 +17,10 @@ open op it touches while their joint support has at most two qubits, and
 the other open ops it touches are applied first; fusion only composes
 linear maps and commutes maps on disjoint qubits, so it changes results by
 rounding alone. A Pauli exponential on more qubits and its noise are one
-op that pairs coefficients, never a dense 4^k map. The kernel holds at
-most N open ops however long the circuit. The state enters the Pauli basis
-once and leaves it once, as an exactly Hermitian d x d matrix.
+op that pairs coefficients, never a dense 4^k map. The state enters the
+Pauli basis once, directly as |0...0><0...0| by default, and leaves it
+once, as an exactly Hermitian d x d matrix; memory peaks at two complex
+d x d buffers, in that last conversion.
 ``run_ideal`` applies each gate's unitary to a state vector.
 """
 
@@ -229,12 +230,7 @@ class DensityMatrix:
         if data.shape != (d, d):
             raise ShapeError(f"expected shape {(d, d)}, got {data.shape}")
         object.__setattr__(self, "data", data)
-        # |rho - rho^dagger| entrywise, 64 rows at a time: no d x d temporary
-        drift = np.max(
-            [np.abs(data[i : i + 64] - data[:, i : i + 64].T.conj()).max() for i in range(0, d, 64)]
-        )
-        if not drift <= 1e-12:
-            raise InvalidStateError("matrix is not Hermitian within 1e-12")
+        _check_hermitian(data, 1e-12)
         if not (abs(np.trace(data).real - 1.0) <= 1e-10 and abs(np.trace(data).imag) <= 1e-10):
             raise InvalidStateError(f"trace {np.trace(data)!r} differs from 1 beyond 1e-10")
 
@@ -251,12 +247,20 @@ class DensityMatrix:
         return cls(n_qubits, data)
 
 
+def _check_hermitian(data: np.ndarray, tol: float) -> None:
+    """Raise unless |data - data^dagger| <= tol entrywise (NaN fails), 64 rows at a time."""
+    rows = range(0, data.shape[0], 64)
+    drift = np.max([np.abs(data[i : i + 64] - data[:, i : i + 64].T.conj()).max() for i in rows])
+    if not drift <= tol:
+        raise InvalidStateError(f"matrix is not Hermitian within {tol:.0e}")
+
+
 def _check_vector(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
     """The state vector flattened, checked to be normalised and, given ``dim``, of that size."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if dim is not None and psi.size != dim:
         raise ShapeError(f"state vector has dimension {psi.size}, expected {dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # NaN fails too
         raise InvalidStateError("state vector is not normalised within 1e-10")
     return psi
 
@@ -355,12 +359,8 @@ def _noisy_ptm(gate: Gate, rate: float):
         reverse = len(qubits) == 2 and qubits[0] > qubits[1]
         return (qubits[::-1] if reverse else qubits), _clifford_ptm(gate.kind, reverse, rate)
     if gate.kind == "pauli_exp":
-        pauli, phi = gate.pauli, 2.0 * gate.angle
-    elif gate.kind in ("rx", "ry", "rz"):
-        pauli, phi = gate.kind[1].upper(), gate.angle
-    else:
-        raise InvalidGateError(f"unknown gate kind {gate.kind!r}")
-    return qubits, _rotation(pauli, phi, rate)
+        return qubits, _rotation(gate.pauli, 2.0 * gate.angle, rate)
+    return qubits, _rotation(gate.kind[1].upper(), gate.angle, rate)  # rx, ry or rz
 
 
 def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -458,52 +458,61 @@ def _fused_ops(program: CircuitProgram):
     yield from dict.fromkeys(op for op in open_ops if op is not None)
 
 
-def _per_qubit(x: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
+def _per_qubit(x: np.ndarray, mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``mat`` applied on every qubit's axis of 4, two qubits per pass; each
-    pass moves the leading qubits last, so the axes end in their first order."""
-    pair = np.kron(mat, mat)
-    for _ in range(n // 2):
-        x = x.reshape(16, -1).T @ pair.T
-    return x.reshape(4, -1).T @ mat.T if n % 2 else x
+    pass moves the leading qubits last, so the axes end in their first order.
+    The passes write x, as a C-contiguous complex array (in place if it is
+    one), and one more buffer in turn; returns the result and that buffer."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    free = np.empty_like(x)
+    for m in [np.kron(mat, mat)] * (n // 2) + [mat] * (n % 2):
+        np.matmul(x.reshape(len(m), -1).T, m.T, out=free.reshape(-1, len(m)))
+        x, free = free, x
+    return x, free
 
 
 def _to_pauli(initial: DensityMatrix) -> np.ndarray:
     """The Pauli coefficients of a density matrix, one axis of 4 per qubit."""
     n, data = initial.n_qubits, initial.data
-    if data[0, 0] == 1.0 and np.count_nonzero(data) == 1:  # |0...0><0...0|
-        return functools.reduce(np.multiply.outer, [_ZERO_STATE] * n, 1.0)
     pairs = data.reshape((2,) * (2 * n)).transpose([q + n * j for q in range(n) for j in (0, 1)])
-    return _per_qubit(pairs, _TO_PAULI, n).real.reshape((4,) * n)
+    return _per_qubit(pairs.copy(), _TO_PAULI, n)[0].real.reshape((4,) * n)
 
 
 def _from_pauli(x: np.ndarray, n: int) -> np.ndarray:
-    """The d x d density matrix with Pauli coefficients x.
+    """The d x d density matrix with Pauli coefficients x, built in x (if it
+    is C-contiguous and complex) and one more buffer. It is exactly
+    Hermitian: an entry and its mirror add the same terms, scaled by
+    conjugate factors (0, or a power of two times +-1 or +-i), which round
+    alike."""
+    x, free = _per_qubit(x, _FROM_PAULI, n)
+    pairs = x.reshape((2,) * (2 * n)).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    np.copyto(free.reshape(pairs.shape), pairs)
+    return free.reshape(2**n, 2**n)
 
-    It is exactly Hermitian: an entry and its mirror add the same terms,
-    scaled by conjugate factors (0, or a power of two times +-1 or +-i),
-    which round alike.
-    """
-    pairs = _per_qubit(x, _FROM_PAULI, n).reshape((2,) * (2 * n))
-    return pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(2**n, 2**n)
 
-
-def run_circuit(program: CircuitProgram, initial: DensityMatrix) -> DensityMatrix:
-    """Evolve a density matrix through the program's noisy gates in order.
+def run_circuit(program: CircuitProgram, initial: DensityMatrix | None = None) -> DensityMatrix:
+    """Evolve a density matrix, by default |0...0><0...0|, through the noisy gates in order.
 
     Each gate applies its ideal unitary; every support qubit then suffers
     an independent uniform X/Y/Z error with probability
     1 - (1 - eps)^(1/q), so the whole gate is error-free with probability
     exactly 1 - eps. With a zero error rate the output is the ideal
     (generally pure) state. The gates are applied as fused ops (see
-    ``_fused_ops``), which changes the result only by rounding.
+    ``_fused_ops``), which changes the result only by rounding. The default
+    start needs no d x d matrix; memory peaks at ``_from_pauli``'s two buffers.
     """
     n = program.n_qubits
-    if initial.n_qubits != n:
+    if initial is None:
+        x = functools.reduce(np.multiply.outer, [_ZERO_STATE] * n, 1.0)
+    elif initial.n_qubits != n:
         raise ShapeError(f"program has {n} qubits, state has {initial.n_qubits}")
-    x = _to_pauli(initial)
+    else:
+        x = _to_pauli(initial)
     for op in _fused_ops(program):
         x = op.apply(x)
-    return DensityMatrix(n, _from_pauli(x, n))
+    x = np.ascontiguousarray(x, dtype=complex)  # frees the real state for the second buffer
+    x = _from_pauli(x, n)  # frees the spent buffer before the check
+    return DensityMatrix(n, x)
 
 
 def run_ideal(program: CircuitProgram, initial: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -76,6 +78,11 @@ class TestEigendecompose:
         with pytest.raises(InvalidStateError):
             eigendecompose(m)
 
+    def test_nan_entry_rejected(self):
+        # NaN > 1e-10 is false: a bound written that way let NaN through
+        with pytest.raises(InvalidStateError):
+            eigendecompose(np.diag([np.nan, 0.5]))
+
     def test_rounding_negatives_clamped_larger_rejected(self):
         dec = eigendecompose(np.diag([1.0 + 1e-11, -1e-11]))
         assert np.array_equal(dec.eigenvalues, [1.0, 0.0])
@@ -133,6 +140,16 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(InvalidStateError):
+            trace_distance(np.diag([np.nan, 0.5]), np.eye(2) / 2)
+
+    def test_non_hermitian_difference_rejected(self):
+        # eigvalsh reads one triangle only, so a non-Hermitian difference
+        # would give the trace norm of some other matrix
+        with pytest.raises(InvalidStateError):
+            trace_distance(np.array([[0.5, 0.5], [0.0, 0.5]]), np.eye(2) / 2)
 
 
 class TestCommutatorNorm:
@@ -453,6 +470,38 @@ class TestSpectralReport:
             assert report.lambda1 == pytest.approx(lam[0], rel=1e-6)
             assert report.uniformity == pytest.approx(uniformity, rel=1e-6)
             assert report.trace_dist_wn == pytest.approx(dist_wn, rel=1e-6)
+
+    def test_nan_state_rejected_as_a_state(self):
+        with pytest.raises(InvalidStateError):
+            compute_spectral_report(np.diag([np.nan, 0.5]), E0)
+
+    def test_nan_ideal_state_rejected(self):
+        with pytest.raises(InvalidStateError):
+            compute_spectral_report(example_mixture(), np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-3])
+    def test_white_noise_distance_matches_the_white_noise_state(self, eps):
+        # the report builds rho - rho_wn in one working matrix; the
+        # reference builds rho_wn, then the difference
+        for seed in range(3):
+            rho, psi = noisy_sel_state(seed, n_qubits=5, layers=6, eps=eps)
+            report = compute_spectral_report(rho, psi)
+            wn = build_white_noise_state(psi, report.lambda1)
+            assert report.trace_dist_wn == pytest.approx(trace_distance(rho, wn.data), rel=1e-10)
+
+    def test_peak_memory_above_inputs_is_one_matrix(self):
+        # one working d x d matrix for rho - rho_wn; eigvalsh's own copy is
+        # LAPACK workspace, outside tracemalloc
+        rho, psi = noisy_sel_state(0, n_qubits=9, layers=2, eps=1e-3)
+        compute_spectral_report(rho, psi)  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compute_spectral_report(rho, psi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * 4**9, peak / (16 * 4**9)
 
     def test_fidelity_law_small_error_rates(self):
         # for moderate total error the no-error weight dominates fidelity

@@ -3,6 +3,7 @@ names; this keeps a change to the package from breaking it unseen."""
 
 import importlib.util
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -53,3 +54,34 @@ def test_positive_controls_run():
     assert controls.residual_commutator_abs(rho.data, psi) == pytest.approx(
         report.commutator_abs, rel=1e-10
     )
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """perfbench/worker.py with its sibling modules, imported as the benchmark runs it."""
+    siblings = ("worker", "run", "gate", "controls", "spans", "workloads")
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    for name in siblings:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("worker")
+    for name in siblings:
+        sys.modules.pop(name, None)
+
+
+def test_traced_replay_rows_equal_the_sweep(worker):
+    # trace.replay_mismatch: the replay starts run_circuit from
+    # DensityMatrix.basis_state, run_sweep from run_circuit's default start,
+    # and the gate compares the two rows field by field with ==
+    config = ns.ExperimentConfig(
+        family="SEL", n_qubits=4, epsilons=(1e-8, 1e-3), layers=(4,), seeds=(0,), seed=0
+    )
+    rows = ns.run_sweep(config)
+    tracer = worker.Tracer()
+    assert len(rows) == len(worker.grid(config)) == 2
+    for row, (epsilon, layer_index, n_layers, seed_index) in zip(rows, worker.grid(config)):
+        program = worker.row_program(
+            config, epsilon, layer_index, n_layers, seed_index, None, tracer
+        )
+        rho, psi = worker.simulate(program, epsilon, tracer)
+        fields = worker.report_fields(config, program, epsilon, seed_index, rho, psi, tracer)
+        assert fields == worker.gate.row_fields(row)

@@ -272,6 +272,84 @@ class TestRunCircuit:
         assert np.abs(rho.data - expected).max() < 1e-12
 
 
+def _bits(a):
+    """The raw 64-bit words of a float or complex array: equality covers signed zeros."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _grid_program(family, n_qubits, n_layers, per_gate_error, **overrides):
+    config = ExperimentConfig(
+        family=family, n_qubits=n_qubits, epsilons=(per_gate_error,), layers=(n_layers,),
+        **overrides,
+    )
+    file_hamiltonian = None
+    if config.hamiltonian_file is not None:
+        file_hamiltonian = load_hamiltonian_file(config.hamiltonian_file)
+    program = build_program(config, n_layers, 3, 5, file_hamiltonian)
+    return program.with_noise(per_gate_error)
+
+
+class TestDefaultStartState:
+    """run_circuit(program) starts from |0...0><0...0| built in the Pauli
+    basis, with no d x d start matrix."""
+
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    def test_short_programs_match_basis_state_bit_for_bit(self, n_qubits):
+        for gates in ((), (Gate.rotation_y(n_qubits - 1, 0.3),)):
+            program = CircuitProgram(n_qubits, gates).with_noise(1e-3)
+            default = run_circuit(program).data
+            explicit = run_circuit(program, DensityMatrix.basis_state(n_qubits)).data
+            assert np.array_equal(_bits(default), _bits(explicit))
+
+    @pytest.mark.parametrize(
+        "family, n_qubits, n_layers, overrides",
+        [
+            ("SEL", 5, 6, {}),
+            ("SEL", 6, 3, {}),
+            ("HVA-XXX", 6, 4, {}),
+            ("HVA-XXX", 4, 3, {"parameter_mode": "vqe"}),
+            (
+                "HVA-SPARSE",
+                4,
+                6,
+                {"hamiltonian_file": str(REPO_ROOT / "perfbench" / "data" / "toy_molecule_4q.txt")},
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("per_gate_error", [1e-8, 1e-3])
+    def test_default_start_equals_basis_state_bit_for_bit(
+        self, family, n_qubits, n_layers, overrides, per_gate_error
+    ):
+        program = _grid_program(family, n_qubits, n_layers, per_gate_error, **overrides)
+        default = run_circuit(program).data
+        explicit = run_circuit(program, DensityMatrix.basis_state(n_qubits)).data
+        assert np.array_equal(_bits(default), _bits(explicit))
+
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    def test_start_state_left_unchanged(self, rng, n_qubits):
+        from .conftest import random_density_matrix
+
+        initial = DensityMatrix(n_qubits, random_density_matrix(rng, 2**n_qubits))
+        before = initial.data.copy()
+        program = CircuitProgram(n_qubits, (Gate.hadamard(0),)).with_noise(0.1)
+        run_circuit(program, initial)
+        assert np.array_equal(initial.data, before)
+
+    def test_peak_memory_is_two_matrices(self):
+        # the real Pauli state (half a d x d complex matrix) is gone before
+        # the conversion takes its second buffer, and the spent buffer is
+        # gone before the output's Hermiticity check
+        program = build_sel_circuit(9, 2, seed=0).with_noise(1e-3)
+        run_circuit(program)  # warm-up: cached maps and axis orders
+        tracemalloc.start()
+        try:
+            run_circuit(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 16 * 4**9, peak / (16 * 4**9)
+
+
 class TestRunIdeal:
     def test_empty_program_identity(self):
         prog = CircuitProgram(2, ())
