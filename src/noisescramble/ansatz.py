@@ -30,16 +30,15 @@ def build_sel_circuit(n: int, n_layers: int, seed: int = 0) -> CircuitProgram:
         raise InvalidSizeError(f"the CNOT ring needs at least 2 qubits, got {n}")
     if n_layers < 1:
         raise InvalidSizeError(f"need at least 1 layer, got {n_layers}")
-    rng = np.random.default_rng(seed)
+    angles = np.random.default_rng(seed).uniform(-_TWO_PI, _TWO_PI, size=(n_layers, n, 3))
     gates = []
-    for _ in range(n_layers):
+    for layer in angles.tolist():
+        for q, (first, middle, last) in enumerate(layer):
+            gates.append(Gate("rz", (q,), first))
+            gates.append(Gate("ry", (q,), middle))
+            gates.append(Gate("rz", (q,), last))
         for q in range(n):
-            a = rng.uniform(-_TWO_PI, _TWO_PI, size=3)
-            gates.append(Gate.rotation_z(q, a[0]))
-            gates.append(Gate.rotation_y(q, a[1]))
-            gates.append(Gate.rotation_z(q, a[2]))
-        for q in range(n):
-            gates.append(Gate.cnot(q, (q + 1) % n))
+            gates.append(Gate("cnot", (q, (q + 1) % n)))
     return CircuitProgram(n_qubits=n, gates=tuple(gates), noise=NoiseSpec(0.0))
 
 
@@ -95,16 +94,15 @@ def build_sparse_hva_layer(
         raise InvalidDistributionError("all sampling weights are zero")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(terms), size=k_terms, p=weights / total)
+    if angle is None:
+        thetas = rng.uniform(-_TWO_PI, _TWO_PI, size=k_terms)
+    else:
+        thetas = angle * total * np.sign([c for c, _ in terms])[chosen] / k_terms
     templates = [Gate.pauli_exponential(pauli, 0.0) for _, pauli in terms]  # support built once
-    gates = []
-    for idx in chosen:
-        if angle is None:
-            theta = rng.uniform(-_TWO_PI, _TWO_PI)
-        else:
-            theta = angle * total * np.sign(terms[idx][0]) / k_terms
-        template = templates[idx]
-        gates.append(Gate(template.kind, template.qubits, float(theta), template.pauli))
-    return gates
+    return [
+        Gate("pauli_exp", templates[idx].qubits, theta, templates[idx].pauli)
+        for idx, theta in zip(chosen.tolist(), thetas.tolist())
+    ]
 
 
 def build_hva_circuit(
@@ -145,14 +143,13 @@ def build_hva_circuit(
     layer_seeds = rng.integers(0, 2**63, size=n_layers)
     gates = _ground_state_prep(h0, n)
 
-    def angle(scheduled: float) -> float:
-        return rng.uniform(-_TWO_PI, _TWO_PI) if random_mode else scheduled
+    def angles(scheduled: list[float]) -> list[float]:
+        return rng.uniform(-_TWO_PI, _TWO_PI, len(scheduled)).tolist() if random_mode else scheduled
 
     def trotter_step(h: PauliTermHamiltonian, weight: float) -> None:
-        for coeff, pauli in h.terms:
-            if pauli.weight == 0:
-                continue  # identity term: a global phase, not a gate
-            gates.append(Gate.pauli_exponential(pauli, angle(weight * coeff)))
+        terms = [(c, p) for c, p in h.terms if p.weight > 0]  # identity: a global phase
+        thetas = angles([weight * c for c, _ in terms])
+        gates.extend(Gate.pauli_exponential(p, theta) for (_, p), theta in zip(terms, thetas))
 
     for k in range(1, n_layers + 1):
         gamma = k / n_layers
@@ -166,5 +163,5 @@ def build_hva_circuit(
                 )
             )
         if rz_layer:
-            gates.extend(Gate.rotation_z(q, angle(0.0)) for q in range(n))
+            gates.extend(Gate.rotation_z(q, theta) for q, theta in enumerate(angles([0.0] * n)))
     return CircuitProgram(n_qubits=n, gates=tuple(gates), noise=NoiseSpec(0.0))

@@ -59,13 +59,16 @@ def eigendecompose(rho, psi_id: np.ndarray | None = None) -> SpectralDecompositi
     """Descending spectrum of a density matrix, with no eigenvectors.
 
     Tiny negative eigenvalues (within 1e-10 of zero) are clamped
-    to zero and the spectrum renormalised to unit sum. ``psi_id``, when
-    given, is only checked to be a normalised vector of matching size.
+    to zero and the spectrum renormalised to unit sum. A raw array must be
+    Hermitian within 1e-10 (a ``DensityMatrix`` was checked when made);
+    ``psi_id``, when given, is only checked to be a normalised vector of
+    matching size.
     """
     mat = _as_matrix(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
-    _check_hermitian(mat, 1e-10)
+    if not isinstance(rho, DensityMatrix):
+        _check_hermitian(mat, 1e-10)
     if psi_id is not None:
         _check_vector(psi_id, mat.shape[0])
     vals = np.linalg.eigvalsh(mat)
@@ -332,7 +335,7 @@ def compute_spectral_report(
     """Assemble the full metric set for one simulated state."""
     mat = _as_matrix(rho)
     psi = _check_vector(psi_id, mat.shape[0])
-    decomposition = eigendecompose(mat, psi)
+    decomposition = eigendecompose(rho, psi)
     lam1 = float(decomposition.eigenvalues[0])
     f = fidelity(mat, psi)
     commutator_abs = 2.0 * math.sqrt(variance(mat, psi))

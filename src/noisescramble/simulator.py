@@ -21,7 +21,9 @@ op that pairs coefficients, never a dense 4^k map. The state enters the
 Pauli basis once, directly as |0...0><0...0| by default, and leaves it
 once, as an exactly Hermitian d x d matrix; memory peaks at two complex
 d x d buffers, in that last conversion.
-``run_ideal`` applies each gate's unitary to a state vector.
+``run_ideal`` walks a state vector by cached register tables, with no gate
+matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi = phase * psi[source],
+H is (X psi + Z psi) / sqrt(2), and a CNOT permutes the entries.
 """
 
 from __future__ import annotations
@@ -36,11 +38,7 @@ import numpy as np
 from .errors import InvalidGateError, InvalidRateError, InvalidStateError, ShapeError
 from .hamiltonians import PauliString
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_IDENTITIES: dict[int, np.ndarray] = {}  # read-only, by dimension, for _pauli_tables
+_SQRT_HALF = 1 / math.sqrt(2.0)
 # Support size and whether an angle is needed, by gate kind; a Pauli
 # exponential acts on as many qubits as its string has letters.
 _KINDS = {
@@ -68,16 +66,7 @@ class Gate:
     pauli: str | None = None
 
     def __post_init__(self):
-        size, angled = _KINDS.get(self.kind, (None, False))
-        if size is None:
-            raise InvalidGateError(f"unknown gate kind {self.kind!r}")
-        size = size or len(self.pauli or "")
-        if not size or len(self.qubits) != size:
-            raise InvalidGateError(f"support {self.qubits} does not fit a {self.kind} gate")
-        if len(set(self.qubits)) != size:
-            raise InvalidGateError(f"repeated qubit in support {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise InvalidGateError(f"negative qubit index in {self.qubits}")
+        angled = _shape_check(self.kind, self.qubits, self.pauli)
         if (self.angle is not None) != angled:
             raise InvalidGateError(f"{self.kind} gate {'needs' if angled else 'takes no'} angle")
         if angled and not math.isfinite(self.angle):
@@ -112,45 +101,78 @@ class Gate:
         return cls("pauli_exp", support, float(angle), "".join(pauli.ops[i] for i in support))
 
     def matrix(self) -> np.ndarray:
-        """Unitary on the support qubits, dimension 2^len(qubits)."""
-        if self.kind == "rx":
-            c, s = np.cos(self.angle / 2), np.sin(self.angle / 2)
-            return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-        if self.kind == "ry":
-            c, s = np.cos(self.angle / 2), np.sin(self.angle / 2)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        if self.kind == "rz":
-            phase = np.exp(-0.5j * self.angle)
-            return np.array([[phase, 0], [0, np.conj(phase)]], dtype=complex)
-        if self.kind == "h":
-            return _HADAMARD.copy()
-        if self.kind == "cnot":
-            return _CNOT.copy()
-        identity, flat, odd = _pauli_tables(self.pauli)  # a Pauli exponential
-        coef = -1j * (1, 1j, -1, -1j)[self.pauli.count("Y") % 4] * math.sin(self.angle)
-        u = math.cos(self.angle) * identity
-        u.reshape(-1)[flat] += np.array([coef, -coef])[odd]
-        return u
+        """Unitary on the support qubits, dimension 2^len(qubits): column j is
+        the gate applied to |j> of its support by its register tables."""
+        k = len(self.qubits)
+        basis = np.eye(2**k, dtype=complex)
+        return np.column_stack([_apply_gate(e, self, tuple(range(k)), k) for e in basis])
 
 
-@functools.lru_cache(maxsize=None)
-def _pauli_tables(pauli: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables for cos(t) Id - i sin(t) P: Id, and P as a signed permutation.
+@functools.lru_cache(maxsize=1024)
+def _shape_check(kind: str, qubits: tuple[int, ...], pauli: str | None) -> bool:
+    """Whether a gate of this kind, support and string takes an angle; raises if they do not fit."""
+    size, angled = _KINDS.get(kind, (None, False))
+    if size is None:
+        raise InvalidGateError(f"unknown gate kind {kind!r}")
+    size = size or len(pauli or "")
+    if not size or len(qubits) != size:
+        raise InvalidGateError(f"support {qubits} does not fit a {kind} gate")
+    if len(set(qubits)) != size:
+        raise InvalidGateError(f"repeated qubit in support {qubits}")
+    if any(q < 0 for q in qubits):
+        raise InvalidGateError(f"negative qubit index in {qubits}")
+    return angled
 
-    P maps |j> to i^(#Y) (-1)^|j & zy| |j ^ xy>, where xy (zy) marks the
-    qubits carrying X or Y (Z or Y), qubit 0 in the most significant bit.
-    The tables are Id (shared by all strings of one weight), the flat
-    positions (j ^ xy, j) of P's entries, and whether each is negated.
-    """
-    xy = int("".join("1" if c in "XY" else "0" for c in pauli), 2)
-    zy = int("".join("1" if c in "YZ" else "0" for c in pauli), 2)
-    dim = 2 ** len(pauli)
-    j = np.arange(dim)
-    odd = np.array([(i & zy).bit_count() % 2 for i in range(dim)])
-    tables = (_IDENTITIES.setdefault(dim, np.eye(dim, dtype=complex)), (j ^ xy) * dim + j, odd)
-    for table in tables:
+
+def _rotation_of(gate: Gate) -> tuple[str, float]:
+    """A rotation or Pauli exponential as (P, phi): the gate is exp(-i phi P / 2)."""
+    if gate.kind == "pauli_exp":
+        return gate.pauli, 2.0 * gate.angle
+    return gate.kind[1].upper(), gate.angle  # rx, ry or rz
+
+
+@functools.lru_cache(maxsize=256)
+def _pauli_action(pauli: str, qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables with (P psi)[j] = phase[j] psi[source[j]] for the
+    Pauli ``pauli`` on ``qubits`` of n: source is j ^ xy and phase is
+    (-i)^(#Y) (-1)^|j & zy|, where xy (zy) marks the qubits carrying X or Y
+    (Z or Y), qubit 0 in the most significant bit."""
+    j = np.arange(2**n)
+    source, odd = j.copy(), np.zeros(2**n, dtype=bool)
+    for q, letter in zip(qubits, pauli):
+        bit = 1 << (n - 1 - q)
+        if letter in "XY":
+            source ^= bit
+        if letter in "YZ":
+            odd ^= (j & bit) != 0
+    phase = (1, -1j, -1, 1j)[pauli.count("Y") % 4] * np.where(odd, -1.0, 1.0)
+    for table in (source, phase):
         table.setflags(write=False)
-    return tables
+    return source, phase
+
+
+@functools.lru_cache(maxsize=256)
+def _cnot_source(control: int, target: int, n: int) -> np.ndarray:
+    """The read-only permutation with (CNOT psi)[j] = psi[source[j]]: X on the
+    target where Z on the control reads -1."""
+    flip, _ = _pauli_action("X", (target,), n)
+    _, sign = _pauli_action("Z", (control,), n)
+    source = np.where(sign.real < 0, flip, np.arange(2**n))
+    source.setflags(write=False)
+    return source
+
+
+def _apply_gate(psi: np.ndarray, gate: Gate, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """The gate, acting on ``qubits`` of n, applied to the state vector psi by
+    register tables: exp(-i t P) is cos(t) psi - i sin(t) P psi."""
+    if gate.kind == "cnot":
+        return psi[_cnot_source(*qubits, n)]
+    if gate.kind == "h":
+        source, _ = _pauli_action("X", qubits, n)
+        return (psi[source] + _pauli_action("Z", qubits, n)[1] * psi) * _SQRT_HALF
+    pauli, phi = _rotation_of(gate)
+    source, phase = _pauli_action(pauli, qubits, n)
+    return math.cos(phi / 2) * psi - 1j * math.sin(phi / 2) * (phase * psi[source])
 
 
 @dataclass(frozen=True)
@@ -272,14 +294,6 @@ def _axis_orders(axes: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tup
     return order, tuple(sorted(range(ndim), key=order.__getitem__))
 
 
-def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract a 2^k x 2^k matrix into the given k axes of a qubit tensor."""
-    order, inverse = _axis_orders(axes, tensor.ndim)
-    moved = tensor.transpose(order)
-    out = (mat @ moved.reshape(mat.shape[1], -1)).reshape(moved.shape)
-    return out.transpose(inverse)
-
-
 # Pauli coefficients c_P = tr(P rho) have one axis of 4 per qubit, in the
 # order I, X, Y, Z. On one qubit, Pauli a times Pauli b is i^_PHASE[a, b]
 # times Pauli a ^ b.
@@ -326,12 +340,15 @@ def _rotation_parts(pauli: str, rate: float) -> tuple:
     return (*parts, partner)
 
 
-def _rotation(pauli: str, phi: float, rate: float):
-    """The map of exp(-i phi P / 2) and noise (see ``_rotation_parts``)."""
+def _rotation(pauli: str, phi, rate: float):
+    """The map of exp(-i phi P / 2) and noise (see ``_rotation_parts``); an
+    array of angles gives one map per angle, stacked on a leading axis."""
     fixed, rotating, mixing, partner = _rotation_parts(pauli, rate)
+    rotated = fixed + np.multiply.outer(np.cos(phi), rotating)
+    mixed = np.multiply.outer(np.sin(phi), mixing)
     if len(pauli) <= 2:
-        return fixed + math.cos(phi) * rotating + math.sin(phi) * mixing
-    return fixed + math.cos(phi) * rotating, math.sin(phi) * mixing, partner
+        return rotated + mixed
+    return rotated, mixed, partner
 
 
 @functools.lru_cache(maxsize=64)
@@ -358,9 +375,35 @@ def _noisy_ptm(gate: Gate, rate: float):
     if gate.kind in _CLIFFORDS:
         reverse = len(qubits) == 2 and qubits[0] > qubits[1]
         return (qubits[::-1] if reverse else qubits), _clifford_ptm(gate.kind, reverse, rate)
-    if gate.kind == "pauli_exp":
-        return qubits, _rotation(gate.pauli, 2.0 * gate.angle, rate)
-    return qubits, _rotation(gate.kind[1].upper(), gate.angle, rate)  # rx, ry or rz
+    return qubits, _rotation(*_rotation_of(gate), rate)
+
+
+_CHUNK = 64  # gates whose maps are built together; keeps the maps in flight small
+
+
+def _noisy_maps(program: CircuitProgram):
+    """Yield ``_noisy_ptm`` of every gate at the program's rate, in gate order,
+    built a chunk of gates at a time: each (Pauli string, rate) of a chunk is
+    one ``_rotation`` call on an array of angles; H and CNOT maps are cached."""
+    rates = {k: program.noise.per_qubit_replace_rate(k) for k in range(1, program.n_qubits + 1)}
+    for start in range(0, program.gate_count, _CHUNK):
+        chunk = program.gates[start : start + _CHUNK]
+        maps, groups = [None] * len(chunk), {}
+        for i, gate in enumerate(chunk):
+            rate = rates[len(gate.qubits)]
+            if gate.kind in _CLIFFORDS:
+                maps[i] = _noisy_ptm(gate, rate)
+            else:
+                pauli, phi = _rotation_of(gate)
+                groups.setdefault((pauli, rate), []).append((i, phi))
+        for (pauli, rate), members in groups.items():
+            where, angles = zip(*members)
+            built = _rotation(pauli, np.array(angles), rate)
+            if len(pauli) > 2:
+                built = [(*pair, built[2]) for pair in zip(built[0], built[1])]
+            for i, noisy_map in zip(where, built):
+                maps[i] = chunk[i].qubits, noisy_map
+        yield from maps
 
 
 def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -423,7 +466,7 @@ def _fused_ops(program: CircuitProgram):
     """Yield the program's noisy gates as fused ops, in an order that is exact.
 
     Each gate and its noise is one map on the Pauli coefficients of its
-    support (``_noisy_ptm``). Each qubit has at most one open op, so the
+    support (``_noisy_maps``). Each qubit has at most one open op, so the
     open ops are disjoint and commute: any of them may be applied first. A
     map on k <= 2 qubits joins the first open op it touches whose joint
     support with it has at most two qubits, and every other open op it
@@ -431,13 +474,9 @@ def _fused_ops(program: CircuitProgram):
     then itself. The ops still open at the end are yielded last. So at most
     n ops are held between gates.
     """
-    rates = {}
     open_ops: list[_Op | None] = [None] * program.n_qubits
-    for gate in program.gates:
-        k = len(gate.qubits)
-        if k not in rates:
-            rates[k] = program.noise.per_qubit_replace_rate(k)
-        qubits, matrix = _noisy_ptm(gate, rates[k])
+    for qubits, matrix in _noisy_maps(program):
+        k = len(qubits)
         host = None
         for op in dict.fromkeys(open_ops[q] for q in qubits if open_ops[q] is not None):
             if host is None and k <= 2 and len(set(op.qubits).union(qubits)) <= 2:
@@ -518,10 +557,10 @@ def run_circuit(program: CircuitProgram, initial: DensityMatrix | None = None) -
 def run_ideal(program: CircuitProgram, initial: np.ndarray) -> np.ndarray:
     """Noise-free state-vector simulation of the same gate sequence."""
     n = program.n_qubits
-    psi = _check_vector(initial, 2**n).reshape((2,) * n)
+    psi = _check_vector(initial, 2**n)
     for gate in program.gates:
-        psi = _apply_matrix(psi, gate.matrix(), gate.qubits)
-    return psi.reshape(-1)
+        psi = _apply_gate(psi, gate, gate.qubits, n)
+    return psi
 
 
 def basis_statevector(n_qubits: int) -> np.ndarray:

@@ -113,6 +113,19 @@ def statevector_run(program, psi):
     return psi
 
 
+def tensordot_run(program, psi):
+    """The state vector walked gate by gate: each ``Gate.matrix`` contracted
+    into its support axes with ``np.tensordot``."""
+    n = program.n_qubits
+    psi = np.array(psi, dtype=complex).reshape((2,) * n)
+    for gate in program.gates:
+        k = len(gate.qubits)
+        mat = gate.matrix().reshape((2,) * (2 * k))
+        psi = np.tensordot(mat, psi, axes=(list(range(k, 2 * k)), list(gate.qubits)))
+        psi = np.moveaxis(psi, list(range(k)), list(gate.qubits))
+    return psi.reshape(-1)
+
+
 def hamiltonian_matrix(hamiltonian):
     """Dense matrix of a Pauli-term Hamiltonian, one Kronecker product per term."""
     n = hamiltonian.n_qubits

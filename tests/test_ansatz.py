@@ -202,3 +202,58 @@ class TestSparseLayer:
         n_prep = sum(1 for g in prog.gates if g.kind == "ry")
         assert prog.gate_count == n_prep + 2 * (per_layer_diag + 30)
 
+
+
+def _scalar_draws(rng, count):
+    return [rng.uniform(-2 * np.pi, 2 * np.pi) for _ in range(count)]
+
+
+def _non_identity(h):
+    return [(c, p) for c, p in h.terms if p.weight > 0]
+
+
+class TestRandomStreams:
+    """The builders draw their angles in one call per layer or Hamiltonian;
+    the angles must be the scalar draws, in the order they used to be made,
+    so that no row changes unseen."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sel_angles_are_scalar_draws(self, seed):
+        program = build_sel_circuit(4, 3, seed)
+        expected = _scalar_draws(np.random.default_rng(seed), 3 * 4 * 3)
+        assert [g.angle for g in program.gates if g.kind != "cnot"] == expected
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("family", ["HVA-XXX", "HVA-TFI-RZ"])
+    def test_hva_angles_are_scalar_draws(self, seed, family):
+        n, n_layers = 4, 3
+        rz_layer = family == "HVA-TFI-RZ"
+        build = build_tfi_hamiltonian if rz_layer else build_xxx_hamiltonian
+        h0, h1 = build(n, seed)
+        program = build_hva_circuit(h0, h1, n_layers, "random", seed, rz_layer=rz_layer)
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2**63, size=n_layers)
+        per_layer = len(_non_identity(h0)) + len(_non_identity(h1)) + (n if rz_layer else 0)
+        expected = _scalar_draws(rng, n_layers * per_layer)
+        assert [g.angle for g in program.gates[-len(expected) :]] == expected
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sparse_angles_are_scalar_draws(self, seed):
+        from .conftest import REPO_ROOT
+        from noisescramble import load_hamiltonian_file
+
+        h = load_hamiltonian_file(REPO_ROOT / "perfbench" / "data" / "toy_molecule_4q.txt")
+        h0, h1 = h.diagonal_part(), h.offdiagonal_part()
+        n_layers, k = 3, 30
+        program = build_hva_circuit(h0, h1, n_layers, "random", seed, sparse_terms=k)
+        rng = np.random.default_rng(seed)
+        layer_seeds = rng.integers(0, 2**63, size=n_layers)
+        terms = _non_identity(h1)
+        weights = np.array([abs(c) for c, _ in terms])
+        expected = []
+        for layer_seed in layer_seeds:
+            expected += _scalar_draws(rng, len(_non_identity(h0)))
+            layer_rng = np.random.default_rng(int(layer_seed))
+            layer_rng.choice(len(terms), size=k, p=weights / weights.sum())
+            expected += _scalar_draws(layer_rng, k)
+        assert [g.angle for g in program.gates[-len(expected) :]] == expected

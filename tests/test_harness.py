@@ -28,6 +28,7 @@ from noisescramble import (
     scaling_model,
     write_rows,
 )
+from noisescramble import metrics, simulator
 from noisescramble.cli import build_parser
 from noisescramble.cli import main as cli_main
 from noisescramble.harness import CONFIG_SCHEMA_VERSION
@@ -211,7 +212,8 @@ def _grid_programs(config):
 
 
 class TestOneEvolutionPass:
-    """run_sweep gets rho and psi from one walk that builds each gate once."""
+    """run_sweep's rows equal the calls made one by one, and a row builds no
+    gate matrix and checks rho once."""
 
     @staticmethod
     def _rows_from_separate_calls(config):
@@ -259,8 +261,9 @@ class TestOneEvolutionPass:
         assert len(rows) == 2 * 2 * 2
         assert rows == expected
 
-    def test_each_gate_matrix_built_once_per_row(self, monkeypatch):
-        config = small_config(
+    @staticmethod
+    def _sparse_row_config():
+        return small_config(
             family="HVA-SPARSE",
             n_qubits=4,
             layers=(2,),
@@ -268,6 +271,10 @@ class TestOneEvolutionPass:
             sparse_terms_per_layer=30,
             hamiltonian_file=str(REPO_ROOT / "perfbench" / "data" / "toy_molecule_4q.txt"),
         )
+
+    def test_row_path_builds_no_gate_matrix(self, monkeypatch):
+        # both walks run from cached tables: rho from closed-form transfer
+        # maps, psi from register permutations and phases
         calls = []
         original = Gate.matrix
 
@@ -276,9 +283,24 @@ class TestOneEvolutionPass:
             return original(gate)
 
         monkeypatch.setattr(Gate, "matrix", counting)
-        (row,) = run_sweep(config)
+        (row,) = run_sweep(self._sparse_row_config())
         assert row.nu > 0
-        assert len(calls) == row.nu
+        assert calls == []
+
+    def test_row_checks_rho_for_hermiticity_once(self, monkeypatch):
+        # run_circuit's DensityMatrix checks rho; the report does not again
+        checked = []
+        original = simulator._check_hermitian
+
+        def counting(data, tol):
+            checked.append(data.shape)
+            return original(data, tol)
+
+        monkeypatch.setattr(simulator, "_check_hermitian", counting)
+        monkeypatch.setattr(metrics, "_check_hermitian", counting)
+        (row,) = run_sweep(self._sparse_row_config())
+        assert row.uniformity is not None
+        assert checked == [(16, 16)]
 
 
 class TestTinyRate:

@@ -479,6 +479,23 @@ class TestSpectralReport:
         with pytest.raises(InvalidStateError):
             compute_spectral_report(example_mixture(), np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
+            np.array([[0.5, 1e-9j], [1e-9j, 0.5]]),
+            np.diag([np.nan, 0.5]),
+            np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        ],
+        ids=["one-triangle", "anti-hermitian-1e-9", "nan-diagonal", "nan-off-diagonal"],
+    )
+    def test_raw_array_is_still_checked(self, state):
+        # only a DensityMatrix, checked when it was made, skips the check
+        with pytest.raises(InvalidStateError):
+            compute_spectral_report(state, E0)
+        with pytest.raises(InvalidStateError):
+            eigendecompose(state)
+
     @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-3])
     def test_white_noise_distance_matches_the_white_noise_state(self, eps):
         # the report builds rho - rho_wn in one working matrix; the

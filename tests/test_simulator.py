@@ -25,14 +25,21 @@ from noisescramble import simulator
 from noisescramble.simulator import (
     _fused_ops,
     _from_pauli,
+    _noisy_maps,
     _noisy_ptm,
     _Op,
-    _pauli_tables,
+    _pauli_action,
     _to_pauli,
 )
 
 from .conftest import REPO_ROOT
-from .oracles import full_gate_unitary, kraus_run, pauli_transfer_matrix, statevector_run
+from .oracles import (
+    full_gate_unitary,
+    kraus_run,
+    pauli_transfer_matrix,
+    statevector_run,
+    tensordot_run,
+)
 
 
 class TestGate:
@@ -538,6 +545,31 @@ class TestFusedKernel:
             widths.update(len(g.qubits) for g in program.gates)
         assert widths == {1, 2, 3, 4}
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_map_stream_at_chunk_edges_equals_one_gate_maps(self, rng, offset):
+        # the stream builds the maps a chunk of gates at a time; each must be
+        # the one-gate map bit for bit, and so must the state they make
+        from .conftest import random_density_matrix
+
+        n = 4
+        for per_gate_error in (0.0, 1e-3, 0.3):
+            program = _mixed_program(rng, n, simulator._CHUNK + offset).with_noise(per_gate_error)
+            assert {len(g.qubits) for g in program.gates} == {1, 2, 3, 4}
+            initial = DensityMatrix(n, random_density_matrix(rng, 2**n))
+            streamed = one_by_one = _to_pauli(initial)
+            stream = list(_noisy_maps(program))
+            assert len(stream) == program.gate_count
+            for gate, (qubits, noisy_map) in zip(program.gates, stream):
+                rate = program.noise.per_qubit_replace_rate(len(gate.qubits))
+                one_qubits, one_map = _noisy_ptm(gate, rate)
+                assert qubits == one_qubits
+                assert np.array_equal(_dense(noisy_map), _dense(one_map))
+                streamed = _Op(qubits, noisy_map).apply(streamed)
+                one_by_one = _Op(one_qubits, one_map).apply(one_by_one)
+            assert np.array_equal(streamed, one_by_one)
+            rho = run_circuit(program, initial)
+            assert np.abs(rho.data - _from_pauli(one_by_one, n)).max() <= 1e-13
+
     @pytest.mark.parametrize("name, n_qubits, n_layers", [("sel5", 5, 200), ("sel7", 7, 128)])
     def test_sel_layer_fuses_to_one_op_per_qubit(self, name, n_qubits, n_layers):
         # one op per ring CNOT, holding the rotations next to it; only the
@@ -560,13 +592,6 @@ class TestFusedKernel:
         assert _fused_supports(program) == [(0, 1)]
         self._check_against_oracle(program)
 
-    def test_pauli_exponential_matrix_matches_expm(self):
-        for ops in itertools.product("XYZ", repeat=3):
-            for length in (1, 2, 3):
-                gate = Gate.pauli_exponential("".join(ops[:length]), 0.83)
-                expected = full_gate_unitary(gate, length)
-                assert np.abs(gate.matrix() - expected).max() < 1e-14
-
     def test_memory_does_not_grow_with_depth(self):
         # ops are applied as soon as no later gate can merge into them, so
         # the kernel holds O(n) small maps, not one per gate
@@ -585,26 +610,28 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("name, per_gate_error", [("sel5", 1e-3), ("sparse4", 1e-3)])
     def test_held_ops_bounded_by_twice_the_width(self, monkeypatch, name, per_gate_error):
-        # ops created minus ops yielded, counted as each gate arrives
+        # ops created minus ops yielded, counted as each gate's map arrives
         program = _long_program(name, per_gate_error)
         created = yielded = 0
         held = []
-        original, build = _Op.__init__, _noisy_ptm
+        original, stream = _Op.__init__, _noisy_maps
 
         def counting(op, *args):
             nonlocal created
             created += 1
             original(op, *args)
 
-        def arriving(gate, rate):
-            held.append(created - yielded)
-            return build(gate, rate)
+        def arriving(program):
+            for noisy_map in stream(program):
+                held.append(created - yielded)
+                yield noisy_map
 
         monkeypatch.setattr(_Op, "__init__", counting)
-        monkeypatch.setattr(simulator, "_noisy_ptm", arriving)
+        monkeypatch.setattr(simulator, "_noisy_maps", arriving)
         for _ in _fused_ops(program):
             yielded += 1
         assert created == yielded > program.n_qubits
+        assert len(held) == program.gate_count
         assert max(held) <= 2 * program.n_qubits, max(held)
 
     @pytest.mark.parametrize("name, per_gate_error", [("sel7", 1e-8), ("sparse4", 1e-7)])
@@ -634,8 +661,66 @@ def _embedded(gate, n):
     return np.stack([run_ideal(program, column) for column in np.eye(2**n)], axis=1)
 
 
+def _every_kind_program(rng, n_qubits, n_gates):
+    """Random Rx, Ry, Rz, H, CNOTs both ways round and Pauli exponentials of
+    weight 1 to 4, as far as the width allows."""
+    kinds = ["rx", "ry", "rz", "h", "pauli_exp"] + (["cnot"] if n_qubits > 1 else [])
+    gates = []
+    for _ in range(n_gates):
+        kind = kinds[rng.integers(len(kinds))]
+        if kind == "cnot":
+            gates.append(Gate.cnot(*(int(q) for q in rng.choice(n_qubits, 2, replace=False))))
+        elif kind == "h":
+            gates.append(Gate.hadamard(int(rng.integers(n_qubits))))
+        elif kind == "pauli_exp":
+            weight = int(rng.integers(1, min(4, n_qubits) + 1))
+            ops = ["I"] * n_qubits
+            for q in rng.choice(n_qubits, weight, replace=False):
+                ops[q] = str(rng.choice(list("XYZ")))
+            gates.append(Gate.pauli_exponential("".join(ops), float(rng.uniform(-7, 7))))
+        else:
+            gates.append(Gate(kind, (int(rng.integers(n_qubits)),), float(rng.uniform(-7, 7))))
+    return CircuitProgram(n_qubits, tuple(gates))
+
+
+class TestTableWalk:
+    """run_ideal's register tables against Gate.matrix contracted by tensordot."""
+
+    @pytest.mark.parametrize("n_qubits", range(1, 8))
+    def test_random_programs_match_matrix_walk(self, rng, n_qubits):
+        from .conftest import random_statevector
+
+        seen = set()
+        for _ in range(4):
+            program = _every_kind_program(rng, n_qubits, 60)
+            psi = random_statevector(rng, 2**n_qubits)
+            got = run_ideal(program, psi)
+            assert np.abs(got - tensordot_run(program, psi)).max() <= 1e-14
+            seen.update((g.kind, len(g.qubits), list(g.qubits) == sorted(g.qubits)) for g in program.gates)
+        expected = {(kind, 1, True) for kind in ("rx", "ry", "rz", "h")}
+        expected |= {("pauli_exp", k, True) for k in range(1, min(4, n_qubits) + 1)}
+        if n_qubits > 1:
+            expected |= {("cnot", 2, True), ("cnot", 2, False)}
+        assert seen == expected
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_every_gate_matrix_matches_expm(self, length):
+        # Gate.matrix is built on its own support from the same tables;
+        # the matrix walk embeds it in the register
+        angles = (0.83, -2.4)
+        gates = [Gate(kind, (length - 1,), a) for kind in ("rx", "ry", "rz") for a in angles]
+        for ops in itertools.product("IXYZ", repeat=length):
+            if set(ops) != {"I"}:
+                gates += [Gate.pauli_exponential("".join(ops), a) for a in angles]
+        assert len(gates) == 2 * (3 + 4**length - 1)
+        for gate in gates:
+            program = CircuitProgram(length, (gate,))
+            got = np.stack([tensordot_run(program, col) for col in np.eye(2**length)], axis=1)
+            assert np.abs(got - full_gate_unitary(gate, length)).max() <= 1e-14, gate
+
+
 class TestGateMatrixCaches:
-    """Gate.matrix builds Pauli exponentials from cached, read-only tables."""
+    """Gate.matrix and run_ideal build from cached, read-only tables."""
 
     def test_mutating_a_matrix_leaves_the_next_unchanged(self):
         gates = (
@@ -652,7 +737,7 @@ class TestGateMatrixCaches:
             assert np.array_equal(gate.matrix(), expected), gate.kind
 
     def test_tables_are_read_only(self):
-        for table in _pauli_tables("XZY"):
+        for table in _pauli_action("XZY", (0, 2, 3), 5):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table.reshape(-1)[0] = 1
