@@ -34,11 +34,11 @@ def build_sel_circuit(n: int, n_layers: int, seed: int = 0) -> CircuitProgram:
     gates = []
     for layer in angles.tolist():
         for q, (first, middle, last) in enumerate(layer):
-            gates.append(Gate("rz", (q,), first))
-            gates.append(Gate("ry", (q,), middle))
-            gates.append(Gate("rz", (q,), last))
+            gates.append(Gate.rotation_z(q, first))
+            gates.append(Gate.rotation_y(q, middle))
+            gates.append(Gate.rotation_z(q, last))
         for q in range(n):
-            gates.append(Gate("cnot", (q, (q + 1) % n)))
+            gates.append(Gate.cnot(q, (q + 1) % n))
     return CircuitProgram(n_qubits=n, gates=tuple(gates), noise=NoiseSpec(0.0))
 
 

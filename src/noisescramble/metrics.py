@@ -60,9 +60,9 @@ def eigendecompose(rho, psi_id: np.ndarray | None = None) -> SpectralDecompositi
 
     Tiny negative eigenvalues (within 1e-10 of zero) are clamped
     to zero and the spectrum renormalised to unit sum. A raw array must be
-    Hermitian within 1e-10 (a ``DensityMatrix`` was checked when made);
-    ``psi_id``, when given, is only checked to be a normalised vector of
-    matching size.
+    Hermitian within 1e-10; a ``DensityMatrix`` was checked when made, and
+    its data is read-only. ``psi_id``, when given, is only checked to be a
+    normalised vector of matching size.
     """
     mat = _as_matrix(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

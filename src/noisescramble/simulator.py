@@ -124,13 +124,6 @@ def _shape_check(kind: str, qubits: tuple[int, ...], pauli: str | None) -> bool:
     return angled
 
 
-def _rotation_of(gate: Gate) -> tuple[str, float]:
-    """A rotation or Pauli exponential as (P, phi): the gate is exp(-i phi P / 2)."""
-    if gate.kind == "pauli_exp":
-        return gate.pauli, 2.0 * gate.angle
-    return gate.kind[1].upper(), gate.angle  # rx, ry or rz
-
-
 @functools.lru_cache(maxsize=256)
 def _pauli_action(pauli: str, qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables with (P psi)[j] = phase[j] psi[source[j]] for the
@@ -153,26 +146,35 @@ def _pauli_action(pauli: str, qubits: tuple[int, ...], n: int) -> tuple[np.ndarr
 
 @functools.lru_cache(maxsize=256)
 def _cnot_source(control: int, target: int, n: int) -> np.ndarray:
-    """The read-only permutation with (CNOT psi)[j] = psi[source[j]]: X on the
-    target where Z on the control reads -1."""
-    flip, _ = _pauli_action("X", (target,), n)
-    _, sign = _pauli_action("Z", (control,), n)
-    source = np.where(sign.real < 0, flip, np.arange(2**n))
+    """The read-only permutation with (CNOT psi)[j] = psi[source[j]]: the
+    target bit of j flips where its control bit is 1."""
+    j = np.arange(2**n)
+    source = j ^ ((j >> (n - 1 - control)) & 1) << (n - 1 - target)
     source.setflags(write=False)
     return source
 
 
 def _apply_gate(psi: np.ndarray, gate: Gate, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """The gate, acting on ``qubits`` of n, applied to the state vector psi by
-    register tables: exp(-i t P) is cos(t) psi - i sin(t) P psi."""
+    register tables: exp(-i t P) is cos(t) psi - i sin(t) P psi. The result
+    is a new vector, built in place to keep the temporaries few."""
     if gate.kind == "cnot":
-        return psi[_cnot_source(*qubits, n)]
+        return psi.take(_cnot_source(*qubits, n))
     if gate.kind == "h":
-        source, _ = _pauli_action("X", qubits, n)
-        return (psi[source] + _pauli_action("Z", qubits, n)[1] * psi) * _SQRT_HALF
-    pauli, phi = _rotation_of(gate)
+        out = psi.take(_pauli_action("X", qubits, n)[0])
+        out += _pauli_action("Z", qubits, n)[1] * psi
+        out *= _SQRT_HALF
+        return out
+    if gate.kind == "pauli_exp":
+        pauli, t = gate.pauli, gate.angle
+    else:  # rx, ry or rz: exp(-i angle P / 2)
+        pauli, t = gate.kind[1].upper(), gate.angle / 2
     source, phase = _pauli_action(pauli, qubits, n)
-    return math.cos(phi / 2) * psi - 1j * math.sin(phi / 2) * (phase * psi[source])
+    out = psi.take(source)
+    out *= phase
+    out *= -1j * math.sin(t)
+    out += math.cos(t) * psi
+    return out
 
 
 @dataclass(frozen=True)
@@ -241,14 +243,21 @@ class CircuitProgram:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense Hermitian unit-trace matrix of a (possibly mixed) N-qubit state."""
+    """Dense Hermitian unit-trace matrix of a (possibly mixed) N-qubit state.
+
+    ``data`` is read-only, so the checks made here stay true: a read-only
+    complex array is kept as given, and any other input is copied.
+    """
 
     n_qubits: int
     data: np.ndarray
 
     def __post_init__(self):
         d = 2**self.n_qubits
-        data = np.asarray(self.data, dtype=complex)
+        data = self.data
+        if not (isinstance(data, np.ndarray) and data.dtype == complex and not data.flags.writeable):
+            data = np.array(data, dtype=complex)
+            data.flags.writeable = False
         if data.shape != (d, d):
             raise ShapeError(f"expected shape {(d, d)}, got {data.shape}")
         object.__setattr__(self, "data", data)
@@ -266,6 +275,7 @@ class DensityMatrix:
         d = 2**n_qubits
         data = np.zeros((d, d), dtype=complex)
         data[0, 0] = 1.0
+        data.flags.writeable = False
         return cls(n_qubits, data)
 
 
@@ -340,15 +350,12 @@ def _rotation_parts(pauli: str, rate: float) -> tuple:
     return (*parts, partner)
 
 
-def _rotation(pauli: str, phi, rate: float):
-    """The map of exp(-i phi P / 2) and noise (see ``_rotation_parts``); an
-    array of angles gives one map per angle, stacked on a leading axis."""
+def _rotation(pauli: str, phi: float, rate: float):
+    """The map of exp(-i phi P / 2) and noise (see ``_rotation_parts``)."""
     fixed, rotating, mixing, partner = _rotation_parts(pauli, rate)
-    rotated = fixed + np.multiply.outer(np.cos(phi), rotating)
-    mixed = np.multiply.outer(np.sin(phi), mixing)
     if len(pauli) <= 2:
-        return rotated + mixed
-    return rotated, mixed, partner
+        return fixed + math.cos(phi) * rotating + math.sin(phi) * mixing
+    return fixed + math.cos(phi) * rotating, math.sin(phi) * mixing, partner
 
 
 @functools.lru_cache(maxsize=64)
@@ -375,35 +382,9 @@ def _noisy_ptm(gate: Gate, rate: float):
     if gate.kind in _CLIFFORDS:
         reverse = len(qubits) == 2 and qubits[0] > qubits[1]
         return (qubits[::-1] if reverse else qubits), _clifford_ptm(gate.kind, reverse, rate)
-    return qubits, _rotation(*_rotation_of(gate), rate)
-
-
-_CHUNK = 64  # gates whose maps are built together; keeps the maps in flight small
-
-
-def _noisy_maps(program: CircuitProgram):
-    """Yield ``_noisy_ptm`` of every gate at the program's rate, in gate order,
-    built a chunk of gates at a time: each (Pauli string, rate) of a chunk is
-    one ``_rotation`` call on an array of angles; H and CNOT maps are cached."""
-    rates = {k: program.noise.per_qubit_replace_rate(k) for k in range(1, program.n_qubits + 1)}
-    for start in range(0, program.gate_count, _CHUNK):
-        chunk = program.gates[start : start + _CHUNK]
-        maps, groups = [None] * len(chunk), {}
-        for i, gate in enumerate(chunk):
-            rate = rates[len(gate.qubits)]
-            if gate.kind in _CLIFFORDS:
-                maps[i] = _noisy_ptm(gate, rate)
-            else:
-                pauli, phi = _rotation_of(gate)
-                groups.setdefault((pauli, rate), []).append((i, phi))
-        for (pauli, rate), members in groups.items():
-            where, angles = zip(*members)
-            built = _rotation(pauli, np.array(angles), rate)
-            if len(pauli) > 2:
-                built = [(*pair, built[2]) for pair in zip(built[0], built[1])]
-            for i, noisy_map in zip(where, built):
-                maps[i] = chunk[i].qubits, noisy_map
-        yield from maps
+    if gate.kind == "pauli_exp":
+        return qubits, _rotation(gate.pauli, 2.0 * gate.angle, rate)
+    return qubits, _rotation(gate.kind[1].upper(), gate.angle, rate)  # rx, ry or rz
 
 
 def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -466,7 +447,7 @@ def _fused_ops(program: CircuitProgram):
     """Yield the program's noisy gates as fused ops, in an order that is exact.
 
     Each gate and its noise is one map on the Pauli coefficients of its
-    support (``_noisy_maps``). Each qubit has at most one open op, so the
+    support (``_noisy_ptm``). Each qubit has at most one open op, so the
     open ops are disjoint and commute: any of them may be applied first. A
     map on k <= 2 qubits joins the first open op it touches whose joint
     support with it has at most two qubits, and every other open op it
@@ -474,9 +455,13 @@ def _fused_ops(program: CircuitProgram):
     then itself. The ops still open at the end are yielded last. So at most
     n ops are held between gates.
     """
+    rates = {}
     open_ops: list[_Op | None] = [None] * program.n_qubits
-    for qubits, matrix in _noisy_maps(program):
-        k = len(qubits)
+    for gate in program.gates:
+        k = len(gate.qubits)
+        if k not in rates:
+            rates[k] = program.noise.per_qubit_replace_rate(k)
+        qubits, matrix = _noisy_ptm(gate, rates[k])
         host = None
         for op in dict.fromkeys(open_ops[q] for q in qubits if open_ops[q] is not None):
             if host is None and k <= 2 and len(set(op.qubits).union(qubits)) <= 2:
@@ -551,6 +536,7 @@ def run_circuit(program: CircuitProgram, initial: DensityMatrix | None = None) -
         x = op.apply(x)
     x = np.ascontiguousarray(x, dtype=complex)  # frees the real state for the second buffer
     x = _from_pauli(x, n)  # frees the spent buffer before the check
+    x.flags.writeable = False  # the only reference: DensityMatrix keeps it uncopied
     return DensityMatrix(n, x)
 
 

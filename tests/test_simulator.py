@@ -25,7 +25,6 @@ from noisescramble import simulator
 from noisescramble.simulator import (
     _fused_ops,
     _from_pauli,
-    _noisy_maps,
     _noisy_ptm,
     _Op,
     _pauli_action,
@@ -437,6 +436,23 @@ class TestDensityMatrix:
         with pytest.raises(InvalidStateError):
             DensityMatrix(1, data)
 
+    def test_data_is_read_only_and_not_the_callers(self):
+        # the checks made when the state was built must stay true
+        data = self._mixed_state()
+        rho = DensityMatrix(1, data)
+        data[1, 0] = 0.3  # the caller's array is not the state's
+        assert rho.data[1, 0] == 0.1 + 0.2j
+        with pytest.raises(ValueError):
+            rho.data[1, 0] = 0.3
+        for state in (DensityMatrix.basis_state(2), run_circuit(build_sel_circuit(3, 2).with_noise(1e-3))):
+            with pytest.raises(ValueError):
+                state.data[0, 0] = 0.5
+
+    def test_read_only_complex_input_is_kept(self):
+        data = self._mixed_state()
+        data.flags.writeable = False
+        assert DensityMatrix(1, data).data is data
+
 
 def _mixed_program(rng, n_qubits, n_gates):
     """Random rotations, CNOTs both ways round and Pauli exponentials on 1 to
@@ -545,31 +561,6 @@ class TestFusedKernel:
             widths.update(len(g.qubits) for g in program.gates)
         assert widths == {1, 2, 3, 4}
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_map_stream_at_chunk_edges_equals_one_gate_maps(self, rng, offset):
-        # the stream builds the maps a chunk of gates at a time; each must be
-        # the one-gate map bit for bit, and so must the state they make
-        from .conftest import random_density_matrix
-
-        n = 4
-        for per_gate_error in (0.0, 1e-3, 0.3):
-            program = _mixed_program(rng, n, simulator._CHUNK + offset).with_noise(per_gate_error)
-            assert {len(g.qubits) for g in program.gates} == {1, 2, 3, 4}
-            initial = DensityMatrix(n, random_density_matrix(rng, 2**n))
-            streamed = one_by_one = _to_pauli(initial)
-            stream = list(_noisy_maps(program))
-            assert len(stream) == program.gate_count
-            for gate, (qubits, noisy_map) in zip(program.gates, stream):
-                rate = program.noise.per_qubit_replace_rate(len(gate.qubits))
-                one_qubits, one_map = _noisy_ptm(gate, rate)
-                assert qubits == one_qubits
-                assert np.array_equal(_dense(noisy_map), _dense(one_map))
-                streamed = _Op(qubits, noisy_map).apply(streamed)
-                one_by_one = _Op(one_qubits, one_map).apply(one_by_one)
-            assert np.array_equal(streamed, one_by_one)
-            rho = run_circuit(program, initial)
-            assert np.abs(rho.data - _from_pauli(one_by_one, n)).max() <= 1e-13
-
     @pytest.mark.parametrize("name, n_qubits, n_layers", [("sel5", 5, 200), ("sel7", 7, 128)])
     def test_sel_layer_fuses_to_one_op_per_qubit(self, name, n_qubits, n_layers):
         # one op per ring CNOT, holding the rotations next to it; only the
@@ -592,6 +583,22 @@ class TestFusedKernel:
         assert _fused_supports(program) == [(0, 1)]
         self._check_against_oracle(program)
 
+    def test_pauli_exponential_matrix_matches_expm(self):
+        # every string on 1-3 qubits, identities included, at two angles, and
+        # the rotations; a matrix acts on its gate's support in order
+        angles = (0.83, -2.4)
+        gates = [Gate(kind, (0,), a) for kind in ("rx", "ry", "rz") for a in angles]
+        for length in (1, 2, 3):
+            for ops in itertools.product("IXYZ", repeat=length):
+                if set(ops) != {"I"}:
+                    gates += [Gate.pauli_exponential("".join(ops), a) for a in angles]
+                    assert gates[-1].qubits == tuple(q for q, op in enumerate(ops) if op != "I")
+        assert len(gates) == 2 * (3 + 3 + 15 + 63)
+        for gate in gates:
+            on_support = Gate(gate.kind, tuple(range(len(gate.qubits))), gate.angle, gate.pauli)
+            expected = full_gate_unitary(on_support, len(gate.qubits))
+            assert np.abs(gate.matrix() - expected).max() < 1e-14, gate
+
     def test_memory_does_not_grow_with_depth(self):
         # ops are applied as soon as no later gate can merge into them, so
         # the kernel holds O(n) small maps, not one per gate
@@ -610,28 +617,26 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("name, per_gate_error", [("sel5", 1e-3), ("sparse4", 1e-3)])
     def test_held_ops_bounded_by_twice_the_width(self, monkeypatch, name, per_gate_error):
-        # ops created minus ops yielded, counted as each gate's map arrives
+        # ops created minus ops yielded, counted as each gate arrives
         program = _long_program(name, per_gate_error)
         created = yielded = 0
         held = []
-        original, stream = _Op.__init__, _noisy_maps
+        original, build = _Op.__init__, _noisy_ptm
 
         def counting(op, *args):
             nonlocal created
             created += 1
             original(op, *args)
 
-        def arriving(program):
-            for noisy_map in stream(program):
-                held.append(created - yielded)
-                yield noisy_map
+        def arriving(gate, rate):
+            held.append(created - yielded)
+            return build(gate, rate)
 
         monkeypatch.setattr(_Op, "__init__", counting)
-        monkeypatch.setattr(simulator, "_noisy_maps", arriving)
+        monkeypatch.setattr(simulator, "_noisy_ptm", arriving)
         for _ in _fused_ops(program):
             yielded += 1
         assert created == yielded > program.n_qubits
-        assert len(held) == program.gate_count
         assert max(held) <= 2 * program.n_qubits, max(held)
 
     @pytest.mark.parametrize("name, per_gate_error", [("sel7", 1e-8), ("sparse4", 1e-7)])
@@ -702,21 +707,6 @@ class TestTableWalk:
         if n_qubits > 1:
             expected |= {("cnot", 2, True), ("cnot", 2, False)}
         assert seen == expected
-
-    @pytest.mark.parametrize("length", [1, 2, 3])
-    def test_every_gate_matrix_matches_expm(self, length):
-        # Gate.matrix is built on its own support from the same tables;
-        # the matrix walk embeds it in the register
-        angles = (0.83, -2.4)
-        gates = [Gate(kind, (length - 1,), a) for kind in ("rx", "ry", "rz") for a in angles]
-        for ops in itertools.product("IXYZ", repeat=length):
-            if set(ops) != {"I"}:
-                gates += [Gate.pauli_exponential("".join(ops), a) for a in angles]
-        assert len(gates) == 2 * (3 + 4**length - 1)
-        for gate in gates:
-            program = CircuitProgram(length, (gate,))
-            got = np.stack([tensordot_run(program, col) for col in np.eye(2**length)], axis=1)
-            assert np.abs(got - full_gate_unitary(gate, length)).max() <= 1e-14, gate
 
 
 class TestGateMatrixCaches:
