@@ -9,6 +9,8 @@ included. Which family uses which builder and Hamiltonians is decided in
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import AnsatzError, InvalidDistributionError, InvalidSizeError, ShapeError
@@ -73,6 +75,19 @@ def _ground_state_prep(h0: PauliTermHamiltonian, n: int) -> list[Gate]:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _sparse_terms(h1: PauliTermHamiltonian) -> tuple:
+    """Read-only probabilities, total * sign and Gate template of each non-identity term of h1."""
+    terms = [(c, p) for c, p in h1.terms if p.weight > 0]
+    weights = np.array([abs(c) for c, _ in terms])
+    total = float(weights.sum())
+    if not terms or total <= 0.0:
+        raise InvalidDistributionError("all sampling weights are zero")
+    probabilities, signed_totals = weights / total, total * np.sign([c for c, _ in terms])
+    probabilities.flags.writeable = signed_totals.flags.writeable = False
+    return probabilities, signed_totals, tuple(Gate.pauli_exponential(p, 0.0) for _, p in terms)
+
+
 def build_sparse_hva_layer(
     h1: PauliTermHamiltonian, k_terms: int, seed: int, angle: float | None = None
 ) -> list[Gate]:
@@ -87,18 +102,13 @@ def build_sparse_hva_layer(
     """
     if k_terms < 1:
         raise InvalidSizeError(f"need at least 1 sampled term, got {k_terms}")
-    terms = [(c, p) for c, p in h1.terms if p.weight > 0]
-    weights = np.array([abs(c) for c, _ in terms])
-    total = float(weights.sum())
-    if not terms or total <= 0.0:
-        raise InvalidDistributionError("all sampling weights are zero")
+    probabilities, signed_totals, templates = _sparse_terms(h1)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(terms), size=k_terms, p=weights / total)
+    chosen = rng.choice(len(templates), size=k_terms, p=probabilities)
     if angle is None:
         thetas = rng.uniform(-_TWO_PI, _TWO_PI, size=k_terms)
     else:
-        thetas = angle * total * np.sign([c for c, _ in terms])[chosen] / k_terms
-    templates = [Gate.pauli_exponential(pauli, 0.0) for _, pauli in terms]  # support built once
+        thetas = angle * signed_totals[chosen] / k_terms
     return [
         Gate("pauli_exp", templates[idx].qubits, theta, templates[idx].pauli)
         for idx, theta in zip(chosen.tolist(), thetas.tolist())

@@ -152,9 +152,9 @@ def bias_bound(observable: np.ndarray, rho, psi_id: np.ndarray, eta: float) -> t
     mat = _as_matrix(rho)
     if obs.shape != mat.shape:
         raise ShapeError(f"observable shape {obs.shape} does not match state {mat.shape}")
-    if np.abs(obs - obs.conj().T).max() > 1e-10:
+    if not np.abs(obs - obs.conj().T).max() <= 1e-10:  # NaN fails too
         raise InvalidObservableError("observable is not Hermitian within 1e-10")
-    if abs(np.trace(obs)) > 1e-10:
+    if not abs(np.trace(obs)) <= 1e-10:
         raise InvalidObservableError(f"observable trace {np.trace(obs)!r} is not 0 within 1e-10")
     if not eta > 0.0:
         raise InvalidRateError(f"eta must be positive, got {eta!r}")

@@ -11,16 +11,16 @@ noisy gate is a real Pauli transfer map in closed form: rotations and
 Pauli exponentials turn each anticommuting Pauli towards -i P Q by cos and
 sin of the angle, H and CNOT are signed permutations, and the noise scales
 each non-identity factor by 1 - p. Row 0 of every map is exactly e_0, so
-the trace is kept by construction. Each qubit has at most one open op,
-so the open ops are disjoint and commute. A map on k <= 2 qubits joins an
-open op it touches while their joint support has at most two qubits, and
-the other open ops it touches are applied first; fusion only composes
-linear maps and commutes maps on disjoint qubits, so it changes results by
-rounding alone. A Pauli exponential on more qubits and its noise are one
-op that pairs coefficients, never a dense 4^k map. The state enters the
-Pauli basis once, directly as |0...0><0...0| by default, and leaves it
-once, as an exactly Hermitian d x d matrix; memory peaks at two complex
-d x d buffers, in that last conversion.
+the trace is kept by construction. A single-qubit map waits on its qubit
+and is folded into the next map there; a pair map takes in the maps
+waiting on its qubits and joins the one open op if that op is on the same
+pair, else it replaces it. Fusion only composes linear maps and commutes
+maps on disjoint qubits, so it changes results by rounding alone. A Pauli
+exponential on more qubits and its noise are one op that pairs
+coefficients, never a dense 4^k map. The state enters the Pauli basis
+once, directly as |0...0><0...0| by default, and leaves it once, as an
+exactly Hermitian d x d matrix; memory peaks at two complex d x d
+buffers, in that last conversion.
 ``run_ideal`` walks a state vector by cached register tables, with no gate
 matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi = phase * psi[source],
 H is (X psi + Z psi) / sqrt(2), and a CNOT permutes the entries.
@@ -265,10 +265,6 @@ class DensityMatrix:
         if not (abs(np.trace(data).real - 1.0) <= 1e-10 and abs(np.trace(data).imag) <= 1e-10):
             raise InvalidStateError(f"trace {np.trace(data)!r} differs from 1 beyond 1e-10")
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
     @classmethod
     def basis_state(cls, n_qubits: int) -> "DensityMatrix":
         """The pure state |0...0><0...0|."""
@@ -392,17 +388,6 @@ def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return (first.reshape(4, 1, 4, 1) * second.reshape(1, 4, 1, 4)).reshape(16, 16)
 
 
-def _on_support(mat: np.ndarray, qubits, target) -> np.ndarray:
-    """A map on ``qubits`` rewritten as a map on the qubit pair ``target``."""
-    if qubits == target:
-        return mat
-    if len(qubits) == 2:  # the same pair, listed in the other order
-        return mat.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
-    if qubits[0] == target[0]:
-        return _pair_product(mat, _ID_MAP)
-    return _pair_product(_ID_MAP, mat)
-
-
 class _Op:
     """One step of the fused kernel, on the Pauli coefficients of ``qubits``.
 
@@ -416,14 +401,6 @@ class _Op:
     def __init__(self, qubits, matrix):
         self.qubits = qubits
         self.matrix = matrix
-
-    def absorb(self, qubits, matrix) -> None:
-        """Compose a later map into this op; their joint support has <= 2 qubits."""
-        target = self.qubits if len(self.qubits) >= len(qubits) else qubits
-        self.matrix = _on_support(matrix, qubits, target) @ _on_support(
-            self.matrix, self.qubits, target
-        )
-        self.qubits = target
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         k, first = len(self.qubits), self.qubits[0]
@@ -447,39 +424,45 @@ def _fused_ops(program: CircuitProgram):
     """Yield the program's noisy gates as fused ops, in an order that is exact.
 
     Each gate and its noise is one map on the Pauli coefficients of its
-    support (``_noisy_ptm``). Each qubit has at most one open op, so the
-    open ops are disjoint and commute: any of them may be applied first. A
-    map on k <= 2 qubits joins the first open op it touches whose joint
-    support with it has at most two qubits, and every other open op it
-    touches is yielded first. A wider map yields the open ops it touches,
-    then itself. The ops still open at the end are yielded last. So at most
-    n ops are held between gates.
+    support (``_noisy_ptm``). A single-qubit map waits on its qubit and is
+    folded into the next map there; it only moves past maps on other qubits,
+    which commute with it. A pair map takes in the maps waiting on its two
+    qubits, then joins the one open op if that op is on the same pair, or
+    yields the open op and becomes the open op itself. A wider map yields
+    the open op if they share a qubit, then the maps waiting on its qubits,
+    then itself. At the end the open op is yielded, then the maps still
+    waiting. So at most n + 1 maps are held between gates.
     """
     rates = {}
-    open_ops: list[_Op | None] = [None] * program.n_qubits
+    waiting: dict[int, np.ndarray] = {}
+    open_op = None
     for gate in program.gates:
         k = len(gate.qubits)
         if k not in rates:
             rates[k] = program.noise.per_qubit_replace_rate(k)
         qubits, matrix = _noisy_ptm(gate, rates[k])
-        host = None
-        for op in dict.fromkeys(open_ops[q] for q in qubits if open_ops[q] is not None):
-            if host is None and k <= 2 and len(set(op.qubits).union(qubits)) <= 2:
-                host = op
+        if k == 1:
+            q = qubits[0]
+            waiting[q] = matrix @ waiting[q] if q in waiting else matrix
+        elif k == 2:
+            a, b = qubits
+            if a in waiting or b in waiting:
+                matrix = matrix @ _pair_product(waiting.pop(a, _ID_MAP), waiting.pop(b, _ID_MAP))
+            if open_op is not None and open_op.qubits == qubits:
+                open_op.matrix = matrix @ open_op.matrix
             else:
-                for q in op.qubits:
-                    open_ops[q] = None
-                yield op
-        if host is not None:
-            host.absorb(qubits, matrix)
-        elif k > 2:
-            yield _Op(qubits, matrix)
-            continue
+                if open_op is not None:
+                    yield open_op
+                open_op = _Op(qubits, matrix)
         else:
-            host = _Op(qubits, matrix)
-        for q in host.qubits:
-            open_ops[q] = host
-    yield from dict.fromkeys(op for op in open_ops if op is not None)
+            if open_op is not None and not set(qubits).isdisjoint(open_op.qubits):
+                yield open_op
+                open_op = None
+            yield from (_Op((q,), waiting.pop(q)) for q in qubits if q in waiting)
+            yield _Op(qubits, matrix)
+    if open_op is not None:
+        yield open_op
+    yield from (_Op((q,), matrix) for q, matrix in waiting.items())
 
 
 def _per_qubit(x: np.ndarray, mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

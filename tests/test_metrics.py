@@ -256,6 +256,14 @@ class TestBiasBound:
         with pytest.raises(InvalidObservableError):
             bias_bound(np.eye(2, dtype=complex), np.eye(2) / 2, psi, 0.5)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_observable_rejected(self, rng, entry):
+        psi = random_statevector(rng, 2)
+        obs = np.diag([1.0, -1.0]).astype(complex)
+        obs[entry] = np.nan
+        with pytest.raises(InvalidObservableError):
+            bias_bound(obs, np.eye(2) / 2, psi, 0.5)
+
 
 class TestArrowhead:
     def test_white_noise_border_vanishes(self, rng):

@@ -519,13 +519,13 @@ class TestFusedKernel:
         assert weights == {1, 2, 3, 4}
         self._check_against_oracle(program)
 
-    def test_gate_moves_back_only_past_disjoint_ops(self):
-        # Each qubit has at most one open op. CNOT(1,2) cannot join the op
-        # of H(0), CNOT(0,1): it is yielded, so Rx(0) opens a new op. Rz(2)
-        # joins the op of CNOT(1,2). CNOT(3,2) joins the op of H(3), which
-        # moves back past the op on (1, 2), yielded first. Ry(1) opens a new
-        # op. The ops still open follow in qubit order. A CNOT op lists its
-        # pair in ascending order.
+    def test_single_qubit_maps_fold_forward_past_the_open_pair(self):
+        # H(3) and H(0) wait on their qubits. CNOT(0,1) takes in H(0) and
+        # becomes the open op. CNOT(1,2) is on another pair: it yields the
+        # open op and becomes it. Rx(0) and Rz(2) wait. CNOT(3,2) takes in
+        # Rz(2) and H(3), yields the op on (1, 2) and becomes the open op on
+        # the pair in ascending order. Ry(1) waits. At the end the open op is
+        # yielded, then the waiting maps in the order they began to wait.
         program = CircuitProgram(
             4,
             (
@@ -540,7 +540,14 @@ class TestFusedKernel:
             ),
         )
         supports = _fused_supports(program)
-        assert supports == [(0, 1), (1, 2), (0,), (1,), (2, 3)]
+        assert supports == [(0, 1), (1, 2), (2, 3), (0,), (1,)]
+        self._check_against_oracle(program)
+
+    def test_waiting_maps_on_both_qubits_fold_into_the_pair(self):
+        program = CircuitProgram(
+            2, (Gate.rotation_z(0, 0.6), Gate.rotation_y(1, -1.1), Gate.cnot(0, 1))
+        )
+        assert _fused_supports(program) == [(0, 1)]
         self._check_against_oracle(program)
 
     def test_random_programs_match_unfused_maps(self, rng):
@@ -563,9 +570,8 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("name, n_qubits, n_layers", [("sel5", 5, 200), ("sel7", 7, 128)])
     def test_sel_layer_fuses_to_one_op_per_qubit(self, name, n_qubits, n_layers):
-        # one op per ring CNOT, holding the rotations next to it; only the
-        # first rotations on qubit 1 are an op of their own
-        assert len(_fused_supports(_long_program(name, 1e-3))) == n_qubits * n_layers + 1
+        # one op per ring CNOT: each qubit's rotations wait for its next CNOT
+        assert len(_fused_supports(_long_program(name, 1e-3))) == n_qubits * n_layers
 
     def test_reversed_pair_cnots(self):
         program = CircuitProgram(
