@@ -33,14 +33,13 @@ def build_sel_circuit(n: int, n_layers: int, seed: int = 0) -> CircuitProgram:
     if n_layers < 1:
         raise InvalidSizeError(f"need at least 1 layer, got {n_layers}")
     angles = np.random.default_rng(seed).uniform(-_TWO_PI, _TWO_PI, size=(n_layers, n, 3))
+    rotations = [(Gate.rotation_z(q, 0.0), Gate.rotation_y(q, 0.0)) for q in range(n)]
+    ring = [Gate.cnot(q, (q + 1) % n) for q in range(n)]
     gates = []
     for layer in angles.tolist():
-        for q, (first, middle, last) in enumerate(layer):
-            gates.append(Gate.rotation_z(q, first))
-            gates.append(Gate.rotation_y(q, middle))
-            gates.append(Gate.rotation_z(q, last))
-        for q in range(n):
-            gates.append(Gate.cnot(q, (q + 1) % n))
+        for (rz, ry), (first, middle, last) in zip(rotations, layer):
+            gates += (rz.with_angle(first), ry.with_angle(middle), rz.with_angle(last))
+        gates += ring
     return CircuitProgram(n_qubits=n, gates=tuple(gates), noise=NoiseSpec(0.0))
 
 
@@ -76,16 +75,22 @@ def _ground_state_prep(h0: PauliTermHamiltonian, n: int) -> list[Gate]:
 
 
 @functools.lru_cache(maxsize=64)
+def _term_gates(h: PauliTermHamiltonian) -> tuple[tuple[float, Gate], ...]:
+    """Coefficient and angle-0 Gate template of each non-identity term of h (not a phase)."""
+    return tuple((c, Gate.pauli_exponential(p, 0.0)) for c, p in h.terms if p.weight > 0)
+
+
+@functools.lru_cache(maxsize=64)
 def _sparse_terms(h1: PauliTermHamiltonian) -> tuple:
     """Read-only probabilities, total * sign and Gate template of each non-identity term of h1."""
-    terms = [(c, p) for c, p in h1.terms if p.weight > 0]
+    terms = _term_gates(h1)
     weights = np.array([abs(c) for c, _ in terms])
     total = float(weights.sum())
     if not terms or total <= 0.0:
         raise InvalidDistributionError("all sampling weights are zero")
     probabilities, signed_totals = weights / total, total * np.sign([c for c, _ in terms])
     probabilities.flags.writeable = signed_totals.flags.writeable = False
-    return probabilities, signed_totals, tuple(Gate.pauli_exponential(p, 0.0) for _, p in terms)
+    return probabilities, signed_totals, tuple(gate for _, gate in terms)
 
 
 def build_sparse_hva_layer(
@@ -109,10 +114,7 @@ def build_sparse_hva_layer(
         thetas = rng.uniform(-_TWO_PI, _TWO_PI, size=k_terms)
     else:
         thetas = angle * signed_totals[chosen] / k_terms
-    return [
-        Gate("pauli_exp", templates[idx].qubits, theta, templates[idx].pauli)
-        for idx, theta in zip(chosen.tolist(), thetas.tolist())
-    ]
+    return [templates[i].with_angle(theta) for i, theta in zip(chosen.tolist(), thetas.tolist())]
 
 
 def build_hva_circuit(
@@ -157,9 +159,9 @@ def build_hva_circuit(
         return rng.uniform(-_TWO_PI, _TWO_PI, len(scheduled)).tolist() if random_mode else scheduled
 
     def trotter_step(h: PauliTermHamiltonian, weight: float) -> None:
-        terms = [(c, p) for c, p in h.terms if p.weight > 0]  # identity: a global phase
+        terms = _term_gates(h)
         thetas = angles([weight * c for c, _ in terms])
-        gates.extend(Gate.pauli_exponential(p, theta) for (_, p), theta in zip(terms, thetas))
+        gates.extend(gate.with_angle(theta) for (_, gate), theta in zip(terms, thetas))
 
     for k in range(1, n_layers + 1):
         gamma = k / n_layers

@@ -9,26 +9,28 @@ chosen so the probability that the whole gate is error-free is exactly
 c_P = tr(P rho), one axis of 4 per qubit in the order I, X, Y, Z. Every
 noisy gate is a real Pauli transfer map in closed form: rotations and
 Pauli exponentials turn each anticommuting Pauli towards -i P Q by cos and
-sin of the angle, H and CNOT are signed permutations, and the noise scales
-each non-identity factor by 1 - p. Row 0 of every map is exactly e_0, so
-the trace is kept by construction. A single-qubit map waits on its qubit
-and is folded into the next map there; a pair map takes in the maps
-waiting on its qubits and joins the one open op if that op is on the same
-pair, else it replaces it. Fusion only composes linear maps and commutes
-maps on disjoint qubits, so it changes results by rounding alone. A Pauli
+sin of the angle, one matmul of (1, cos, sin) with three cached rows, H
+and CNOT are cached signed permutations, and the noise scales each
+non-identity factor by 1 - p. Row 0 of every map is exactly e_0, so the
+trace is kept by construction. A single-qubit map waits on its qubit and
+is folded into the next map there; a pair map takes in the maps waiting
+on its qubits and joins the one open op if that op is on the same pair,
+else it replaces it. Fusion only composes linear maps and commutes maps on
+disjoint qubits, so it changes results by rounding alone. A Pauli
 exponential on more qubits and its noise are one op that pairs
 coefficients, never a dense 4^k map. The state enters the Pauli basis
 once, directly as |0...0><0...0| by default, and leaves it once, as an
 exactly Hermitian d x d matrix; memory peaks at two complex d x d
 buffers, in that last conversion.
 ``run_ideal`` walks a state vector by cached register tables, with no gate
-matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi = phase * psi[source],
-H is (X psi + Z psi) / sqrt(2), and a CNOT permutes the entries.
+matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi =
+factor * sign * psi[source], or one coefficient per entry times psi for a
+diagonal P; H is (X psi + Z psi) / sqrt(2), and a CNOT permutes entries.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -49,6 +51,7 @@ _KINDS = {
     "cnot": (2, False),
     "pauli_exp": (0, True),
 }
+_AXES = {"rx": "X", "ry": "Y", "rz": "Z"}
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,19 @@ class Gate:
         support = pauli.support
         return cls("pauli_exp", support, float(angle), "".join(pauli.ops[i] for i in support))
 
+    def with_angle(self, angle: float) -> "Gate":
+        """This gate at another angle; only the angle is checked, the rest was at construction."""
+        angle = float(angle)
+        if self.angle is None or not math.isfinite(angle):
+            raise InvalidGateError(f"{self.kind} gate cannot take angle {angle!r}")
+        # the fields in __init__'s order, so the instance dict keeps sharing its keys
+        gate, set_field = object.__new__(Gate), object.__setattr__
+        set_field(gate, "kind", self.kind)
+        set_field(gate, "qubits", self.qubits)
+        set_field(gate, "angle", angle)
+        set_field(gate, "pauli", self.pauli)
+        return gate
+
     def matrix(self) -> np.ndarray:
         """Unitary on the support qubits, dimension 2^len(qubits): column j is
         the gate applied to |j> of its support by its register tables."""
@@ -125,23 +141,23 @@ def _shape_check(kind: str, qubits: tuple[int, ...], pauli: str | None) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def _pauli_action(pauli: str, qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables with (P psi)[j] = phase[j] psi[source[j]] for the
-    Pauli ``pauli`` on ``qubits`` of n: source is j ^ xy and phase is
-    (-i)^(#Y) (-1)^|j & zy|, where xy (zy) marks the qubits carrying X or Y
-    (Z or Y), qubit 0 in the most significant bit."""
+def _pauli_action(pauli: str, qubits: tuple[int, ...], n: int) -> tuple:
+    """Read-only tables with (P psi)[j] = factor sign[j] psi[source[j]] for
+    ``pauli`` on ``qubits`` of n: source is j ^ xy (None if xy = 0), sign is
+    (-1)^|j & zy| and factor (-i)^(#Y), where xy (zy) marks the qubits
+    carrying X or Y (Z or Y), qubit 0 in the most significant bit."""
     j = np.arange(2**n)
-    source, odd = j.copy(), np.zeros(2**n, dtype=bool)
+    xy, odd = 0, np.zeros(2**n, dtype=bool)
     for q, letter in zip(qubits, pauli):
         bit = 1 << (n - 1 - q)
         if letter in "XY":
-            source ^= bit
+            xy |= bit
         if letter in "YZ":
             odd ^= (j & bit) != 0
-    phase = (1, -1j, -1, 1j)[pauli.count("Y") % 4] * np.where(odd, -1.0, 1.0)
-    for table in (source, phase):
+    source, sign = (j ^ xy if xy else None), np.where(odd, -1.0, 1.0)
+    for table in (source, sign) if xy else (sign,):
         table.setflags(write=False)
-    return source, phase
+    return source, sign, (1, -1j, -1, 1j)[pauli.count("Y") % 4]
 
 
 @functools.lru_cache(maxsize=256)
@@ -168,12 +184,15 @@ def _apply_gate(psi: np.ndarray, gate: Gate, qubits: tuple[int, ...], n: int) ->
     if gate.kind == "pauli_exp":
         pauli, t = gate.pauli, gate.angle
     else:  # rx, ry or rz: exp(-i angle P / 2)
-        pauli, t = gate.kind[1].upper(), gate.angle / 2
-    source, phase = _pauli_action(pauli, qubits, n)
-    out = psi.take(source)
-    out *= phase
-    out *= -1j * math.sin(t)
-    out += math.cos(t) * psi
+        pauli, t = _AXES[gate.kind], gate.angle / 2
+    source, sign, factor = _pauli_action(pauli, qubits, n)
+    out = sign * (-1j * factor * math.sin(t))
+    if source is None:  # diagonal P: one coefficient per entry, no gather
+        out += math.cos(t)
+        out *= psi
+    else:
+        out *= psi.take(source)
+        out += math.cos(t) * psi
     return out
 
 
@@ -238,7 +257,10 @@ class CircuitProgram:
         return len(self.gates)
 
     def with_noise(self, per_gate_error: float) -> "CircuitProgram":
-        return dataclasses.replace(self, noise=NoiseSpec(per_gate_error))
+        """This program at another error rate; only the rate is checked, the gates were already."""
+        program = copy.copy(self)
+        object.__setattr__(program, "noise", NoiseSpec(per_gate_error))
+        return program
 
 
 @dataclass(frozen=True)
@@ -310,26 +332,28 @@ _TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]
 _FROM_PAULI = 0.5 * _TO_PAULI.conj().T
 _ZERO_STATE = np.array([1.0, 0.0, 0.0, 1.0])  # |0><0| = (I + Z) / 2
 # H = X Ry(pi/2) and CNOT = exp(-i pi/4 Z_c) exp(-i pi/4 X_t) exp(i pi/4 Z_c X_t),
-# up to global phases, as Pauli rotations (P, phi) = exp(-i phi P / 2), the
-# first applied last; their rounded product is the exact signed permutation.
+# up to global phases, as Pauli rotations exp(-i phi P / 2), the first
+# applied last, each given as (P, (1, cos phi, sin phi)); their product is
+# exactly the signed permutation.
 _CLIFFORDS = {
-    "h": (("X", math.pi), ("Y", math.pi / 2)),
-    "cnot": (("ZI", math.pi / 2), ("IX", math.pi / 2), ("ZX", -math.pi / 2)),
+    "h": (("X", (1, -1, 0)), ("Y", (1, 0, 1))),
+    "cnot": (("ZI", (1, 0, 1)), ("IX", (1, 0, 1)), ("ZX", (1, 0, -1))),
 }
 
 
 @functools.lru_cache(maxsize=256)
-def _rotation_parts(pauli: str, rate: float) -> tuple:
+def _rotation_rows(pauli: str, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i phi P / 2) for a Pauli string P, then the noise at ``rate``, as
-    fixed + cos(phi) rotating + sin(phi) mixing, and the partner table.
+    (1, cos(phi), sin(phi)) @ rows, and the partner table; both read-only.
 
     A Pauli Q that commutes with P is fixed. One that anticommutes becomes
     cos(phi) Q + sin(phi) (-i P Q), where -i P Q = s R for the Pauli R at
     flat index ``partner[Q]`` and a sign s = +-1, so c_Q becomes
     cos(phi) c_Q - s sin(phi) c_R. The noise scales each row by 1 - rate
-    per non-identity factor. On at most two qubits the parts are dense
-    transfer matrices; on more they are the diagonal, diagonal and
-    off-diagonal vectors of ``_Op``.
+    per non-identity factor. The rows are these fixed, rotating and mixing
+    parts, as flattened transfer matrices on at most two qubits and as
+    [diagonal | off] of ``_Op``'s tables on more. No column has two nonzero
+    rows, so each entry of a map is one rounded product.
     """
     codes = ["IXYZ".index(c) for c in pauli]
     phase = functools.reduce(lambda acc, a: np.add.outer(acc, _PHASE[a]), codes, 0).ravel() % 4
@@ -337,50 +361,58 @@ def _rotation_parts(pauli: str, rate: float) -> tuple:
     one = np.array([1.0, 1.0 - rate, 1.0 - rate, 1.0 - rate])
     scale = functools.reduce(np.multiply.outer, [one] * len(pauli)).ravel()
     anti = phase % 2
-    parts = [scale * (1 - anti), scale * anti, scale * anti * (phase - 2)]
+    fixed, rotating, mixing = scale * (1 - anti), scale * anti, scale * anti * (phase - 2)
     if len(pauli) <= 2:
-        parts[:2] = [np.diag(part) for part in parts[:2]]
-        parts[2] = np.diag(parts[2])[:, partner]
-    for part in (*parts, partner):
-        part.setflags(write=False)
-    return (*parts, partner)
+        rows = np.stack([np.diag(fixed), np.diag(rotating), np.diag(mixing)[:, partner]])
+    else:
+        rows = np.block([[fixed, 0 * scale], [rotating, 0 * scale], [0 * scale, mixing]])
+    rows = rows.reshape(3, -1)
+    for table in (rows, partner):
+        table.setflags(write=False)
+    return rows, partner
 
 
-def _rotation(pauli: str, phi: float, rate: float):
-    """The map of exp(-i phi P / 2) and noise (see ``_rotation_parts``)."""
-    fixed, rotating, mixing, partner = _rotation_parts(pauli, rate)
-    if len(pauli) <= 2:
-        return fixed + math.cos(phi) * rotating + math.sin(phi) * mixing
-    return fixed + math.cos(phi) * rotating, math.sin(phi) * mixing, partner
+def _rotation_map(pauli: str, rate: float, trig):
+    """The map of exp(-i phi P / 2) and noise for trig = (1, cos(phi), sin(phi)),
+    as ``_rotation_rows`` lays it out: a transfer matrix, or ``_Op``'s tables."""
+    rows, partner = _rotation_rows(pauli, rate)
+    flat, m = np.dot(trig, rows), len(partner)  # np.dot: less overhead than @ here
+    return flat.reshape(m, m) if len(pauli) <= 2 else (flat[:m], flat[m:], partner)
 
 
 @functools.lru_cache(maxsize=64)
 def _clifford_ptm(kind: str, reverse: bool, rate: float) -> np.ndarray:
     """The noisy transfer matrix of H or CNOT, in the pair order (target,
     control) with ``reverse``."""
-    rotations = [_rotation(p[::-1] if reverse else p, phi, 0.0) for p, phi in _CLIFFORDS[kind]]
-    mat = _rotation("I" * len(_CLIFFORDS[kind][0][0]), 0.0, rate) @ np.rint(
-        functools.reduce(np.matmul, rotations)
-    )
+    rotations = [_rotation_map(p[::-1] if reverse else p, 0, trig) for p, trig in _CLIFFORDS[kind]]
+    noise = _rotation_map("I" * len(_CLIFFORDS[kind][0][0]), rate, (1, 1, 0))
+    mat = noise @ functools.reduce(np.matmul, rotations)
     mat.setflags(write=False)
     return mat
 
 
-def _noisy_ptm(gate: Gate, rate: float):
-    """The gate, then the partial-replace channel at ``rate`` on each support
-    qubit, as a map on the support's Pauli coefficients.
+_CHUNK = 256  # gates per cos and sin call: amortises it, and memory stays flat in depth
 
-    Returns the support, a CNOT's pair in ascending order, and the map in
-    that order (see ``_rotation_parts``). Every map fixes c_I: its row 0 is
-    exactly e_0.
-    """
-    qubits = gate.qubits
-    if gate.kind in _CLIFFORDS:
-        reverse = len(qubits) == 2 and qubits[0] > qubits[1]
-        return (qubits[::-1] if reverse else qubits), _clifford_ptm(gate.kind, reverse, rate)
-    if gate.kind == "pauli_exp":
-        return qubits, _rotation(gate.pauli, 2.0 * gate.angle, rate)
-    return qubits, _rotation(gate.kind[1].upper(), gate.angle, rate)  # rx, ry or rz
+
+def _noisy_maps(program: CircuitProgram):
+    """Yield each gate's support and its map with the noise, in gate order; a
+    CNOT's support and map are in ascending pair order. Every map fixes c_I:
+    its row 0 is exactly e_0."""
+    gates, noise = program.gates, program.noise
+    rates = {k: noise.per_qubit_replace_rate(k) for k in range(1, program.n_qubits + 1)}
+    for start in range(0, len(gates), _CHUNK):
+        chunk = gates[start : start + _CHUNK]
+        # phi of exp(-i phi P / 2): a rotation's angle, twice a Pauli exponential's
+        phis = np.array([(g.angle or 0.0) * (2.0 if g.pauli else 1.0) for g in chunk])
+        trigs = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], axis=1)
+        for gate, trig in zip(chunk, trigs):
+            qubits, rate = gate.qubits, rates[len(gate.qubits)]
+            if gate.kind not in _CLIFFORDS:
+                yield qubits, _rotation_map(gate.pauli or _AXES[gate.kind], rate, trig)
+            elif len(qubits) == 2 and qubits[0] > qubits[1]:
+                yield qubits[::-1], _clifford_ptm(gate.kind, True, rate)
+            else:
+                yield qubits, _clifford_ptm(gate.kind, False, rate)
 
 
 def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -423,24 +455,20 @@ class _Op:
 def _fused_ops(program: CircuitProgram):
     """Yield the program's noisy gates as fused ops, in an order that is exact.
 
-    Each gate and its noise is one map on the Pauli coefficients of its
-    support (``_noisy_ptm``). A single-qubit map waits on its qubit and is
-    folded into the next map there; it only moves past maps on other qubits,
-    which commute with it. A pair map takes in the maps waiting on its two
-    qubits, then joins the one open op if that op is on the same pair, or
-    yields the open op and becomes the open op itself. A wider map yields
-    the open op if they share a qubit, then the maps waiting on its qubits,
-    then itself. At the end the open op is yielded, then the maps still
-    waiting. So at most n + 1 maps are held between gates.
+    Each gate and its noise is one map on its support's Pauli coefficients,
+    from ``_noisy_maps``: (1, cos, sin) times cached rows for a rotation. A
+    single-qubit map waits on its qubit and is folded into the next map
+    there; it only moves past maps on other qubits, which commute with it.
+    A pair map takes in the maps waiting on its two qubits, then joins the
+    one open op if it is on the same pair, or yields the open op and becomes
+    it. A wider map yields the open op if they share a qubit, then the maps
+    waiting on its qubits, then itself. At the end the open op is yielded,
+    then the maps still waiting. So at most n + 1 maps are held between gates.
     """
-    rates = {}
     waiting: dict[int, np.ndarray] = {}
     open_op = None
-    for gate in program.gates:
-        k = len(gate.qubits)
-        if k not in rates:
-            rates[k] = program.noise.per_qubit_replace_rate(k)
-        qubits, matrix = _noisy_ptm(gate, rates[k])
+    for qubits, matrix in _noisy_maps(program):
+        k = len(qubits)
         if k == 1:
             q = qubits[0]
             waiting[q] = matrix @ waiting[q] if q in waiting else matrix

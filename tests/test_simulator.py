@@ -25,9 +25,10 @@ from noisescramble import simulator
 from noisescramble.simulator import (
     _fused_ops,
     _from_pauli,
-    _noisy_ptm,
+    _noisy_maps,
     _Op,
     _pauli_action,
+    _rotation_rows,
     _to_pauli,
 )
 
@@ -78,6 +79,30 @@ class TestGate:
     def test_non_finite_angle_rejected(self):
         with pytest.raises(InvalidGateError):
             Gate.rotation_x(0, float("nan"))
+
+    def test_with_angle_equals_the_constructed_gate(self):
+        pairs = [
+            (Gate.rotation_x(2, 0.0), Gate.rotation_x(2, -1.25)),
+            (Gate.rotation_z(0, 0.0), Gate.rotation_z(0, 3)),
+            (Gate.pauli_exponential("XIZY", 0.0), Gate.pauli_exponential("XIZY", 0.7)),
+        ]
+        for template, expected in pairs:
+            before = repr(template)
+            gate = template.with_angle(expected.angle)
+            assert gate == expected and hash(gate) == hash(expected)
+            assert repr(gate) == repr(expected)
+            assert list(vars(gate).items()) == list(vars(expected).items())
+            assert repr(template) == before and template.angle == 0.0
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+    def test_with_angle_rejects_non_finite_angles(self, angle):
+        with pytest.raises(InvalidGateError):
+            Gate.pauli_exponential("XZ", 0.3).with_angle(angle)
+
+    @pytest.mark.parametrize("gate", [Gate.hadamard(0), Gate.cnot(0, 1)])
+    def test_with_angle_rejects_gates_without_angle(self, gate):
+        with pytest.raises(InvalidGateError):
+            gate.with_angle(0.5)
 
     @pytest.mark.parametrize(
         "args",
@@ -171,6 +196,21 @@ class TestApplyDepolarising:
             program.with_noise(1.5)
         with pytest.raises(InvalidRateError):
             program.with_noise(-0.1)
+        with pytest.raises(InvalidRateError):
+            program.with_noise(float("nan"))
+
+    def test_with_noise_keeps_the_checked_gates(self, monkeypatch):
+        program = build_sel_circuit(3, 2, seed=1)
+        before = repr(program)
+
+        def checking_again(_):
+            raise AssertionError("the gates were checked when the program was built")
+
+        monkeypatch.setattr(CircuitProgram, "__post_init__", checking_again)
+        noisy = program.with_noise(0.25)
+        assert noisy.gates is program.gates and noisy.n_qubits == program.n_qubits
+        assert noisy.noise == NoiseSpec(0.25)
+        assert repr(program) == before and program.noise == NoiseSpec(0.0)
 
     def test_channel_composition(self, rng):
         # p1 then p2 equals a single application at 1 - (1-p1)(1-p2)
@@ -561,8 +601,7 @@ class TestFusedKernel:
             initial = DensityMatrix(n, random_density_matrix(rng, 2**n))
             x = _to_pauli(initial)
             for gate in program.gates:
-                rate = program.noise.per_qubit_replace_rate(len(gate.qubits))
-                x = _Op(*_noisy_ptm(gate, rate)).apply(x)
+                x = _Op(*_noisy_map(gate, program.noise.per_gate_error)).apply(x)
             rho = run_circuit(program, initial)
             assert np.abs(rho.data - _from_pauli(x, n)).max() <= 1e-13, trial
             widths.update(len(g.qubits) for g in program.gates)
@@ -627,19 +666,20 @@ class TestFusedKernel:
         program = _long_program(name, per_gate_error)
         created = yielded = 0
         held = []
-        original, build = _Op.__init__, _noisy_ptm
+        original, stream = _Op.__init__, _noisy_maps
 
         def counting(op, *args):
             nonlocal created
             created += 1
             original(op, *args)
 
-        def arriving(gate, rate):
-            held.append(created - yielded)
-            return build(gate, rate)
+        def arriving(program):
+            for item in stream(program):
+                held.append(created - yielded)
+                yield item
 
         monkeypatch.setattr(_Op, "__init__", counting)
-        monkeypatch.setattr(simulator, "_noisy_ptm", arriving)
+        monkeypatch.setattr(simulator, "_noisy_maps", arriving)
         for _ in _fused_ops(program):
             yielded += 1
         assert created == yielded > program.n_qubits
@@ -714,6 +754,25 @@ class TestTableWalk:
             expected |= {("cnot", 2, True), ("cnot", 2, False)}
         assert seen == expected
 
+    @pytest.mark.parametrize("n_qubits", range(1, 8))
+    def test_diagonal_strings_match_matrix_walk(self, rng, n_qubits):
+        # Z-only strings take the step with no gather, between Rx and Ry steps
+        from .conftest import random_statevector
+
+        gates = []
+        for weight in [*range(1, min(4, n_qubits) + 1)] * 4:
+            ops = ["I"] * n_qubits
+            for q in rng.choice(n_qubits, weight, replace=False):
+                ops[q] = "Z"
+            gates.append(Gate.pauli_exponential("".join(ops), float(rng.uniform(-7, 7))))
+            kind = str(rng.choice(["rx", "ry"]))
+            gates.append(Gate(kind, (int(rng.integers(n_qubits)),), float(rng.uniform(-7, 7))))
+        program = CircuitProgram(n_qubits, tuple(gates))
+        psi = random_statevector(rng, 2**n_qubits)
+        got = run_ideal(program, psi)
+        assert np.abs(got - tensordot_run(program, psi)).max() <= 1e-14
+        assert np.abs(got - statevector_run(program, psi)).max() <= 1e-12
+
 
 class TestGateMatrixCaches:
     """Gate.matrix and run_ideal build from cached, read-only tables."""
@@ -733,10 +792,25 @@ class TestGateMatrixCaches:
             assert np.array_equal(gate.matrix(), expected), gate.kind
 
     def test_tables_are_read_only(self):
-        for table in _pauli_action("XZY", (0, 2, 3), 5):
+        source, sign, factor = _pauli_action("XZY", (0, 2, 3), 5)
+        assert factor == -1j and sign.dtype == np.float64
+        diagonal_source, diagonal_sign, diagonal_factor = _pauli_action("ZZ", (1, 4), 5)
+        assert diagonal_source is None and diagonal_factor == 1
+        rows = (*_rotation_rows("XY", 0.1), *_rotation_rows("XZY", 0.1))
+        for table in (source, sign, diagonal_sign, *rows):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table.reshape(-1)[0] = 1
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_rotation_rows_have_one_nonzero_part_per_entry(self, length):
+        # so (1, cos, sin) @ rows rounds each entry as one product does
+        for ops in itertools.product("IXYZ", repeat=length):
+            for rate in (0.0, 1e-3, 0.5):
+                rows, partner = _rotation_rows("".join(ops), rate)
+                assert rows.shape == (3, 16**length if length <= 2 else 2 * 4**length)
+                assert ((rows != 0).sum(axis=0) <= 1).all(), ops
+                assert sorted(partner) == list(range(4**length))
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_every_pauli_string_matches_expm(self, length):
@@ -750,8 +824,15 @@ class TestGateMatrixCaches:
                 assert np.abs(_embedded(gate, length) - expected).max() < 1e-14, ops
 
 
+def _noisy_map(gate, per_gate_error):
+    """The gate's support and noisy map, from ``_noisy_maps`` of a one-gate program."""
+    program = CircuitProgram(max(gate.qubits) + 1, (gate,), NoiseSpec(per_gate_error))
+    [(qubits, ptm)] = _noisy_maps(program)
+    return qubits, ptm
+
+
 def _dense(ptm):
-    """A transfer matrix from ``_noisy_ptm``, expanded from tables on 3+ qubits."""
+    """A transfer matrix from ``_noisy_maps``, expanded from tables on 3+ qubits."""
     if isinstance(ptm, np.ndarray):
         return ptm
     diagonal, off, partner = ptm
@@ -777,7 +858,7 @@ class TestPauliTransferMatrices:
         assert len(gates) == 3 + 2 * (3 + 3 + 15 + 63)
         for gate in gates:
             k = len(gate.qubits)
-            qubits, ptm = _noisy_ptm(gate, NoiseSpec(per_gate_error).per_qubit_replace_rate(k))
+            qubits, ptm = _noisy_map(gate, per_gate_error)
             assert qubits == tuple(sorted(gate.qubits))
             u = gate.matrix()
             if qubits != gate.qubits:  # the CNOT listed as (target, control)
