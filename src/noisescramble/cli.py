@@ -62,11 +62,9 @@ def _cmd_metrics(args) -> int:
             seeds=config.seeds[:1],
         )
     )
-    columns = dict(zip(CSV_HEADER, format_row(row).split(",")))
-    for label in ("family", "n_qubits", "epsilon", "nu", "F", "lambda1",
-                  "W", "C_rel", "C_abs", "trace_dist_wn", "eta_est"):
-        value = columns[label]
-        print(f"{label}={value}" if value else f"{label}=nan ({row.reason})")
+    for label, value in zip(CSV_HEADER, format_row(row).split(",")):
+        if label not in ("seed", "wall_time_seconds", "reason"):
+            print(f"{label}={value}" if value else f"{label}=nan ({row.reason})")
     return 0
 
 

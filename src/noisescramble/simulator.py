@@ -26,6 +26,7 @@ buffers, in that last conversion.
 matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi =
 factor * sign * psi[source], or one coefficient per entry times psi for a
 diagonal P; H is (X psi + Z psi) / sqrt(2), and a CNOT permutes entries.
+A step acts on the last axis, so ``Gate.matrix`` is one step on the identity.
 """
 
 from __future__ import annotations
@@ -117,11 +118,11 @@ class Gate:
         return gate
 
     def matrix(self) -> np.ndarray:
-        """Unitary on the support qubits, dimension 2^len(qubits): column j is
-        the gate applied to |j> of its support by its register tables."""
+        """Unitary on the support qubits, dimension 2^len(qubits): the state
+        step applied to all rows of the identity at once, transposed."""
         k = len(self.qubits)
-        basis = np.eye(2**k, dtype=complex)
-        return np.column_stack([_apply_gate(e, self, tuple(range(k)), k) for e in basis])
+        rows = _apply_gate(np.eye(2**k, dtype=complex), self, tuple(range(k)), k)
+        return np.ascontiguousarray(rows.T)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -171,13 +172,14 @@ def _cnot_source(control: int, target: int, n: int) -> np.ndarray:
 
 
 def _apply_gate(psi: np.ndarray, gate: Gate, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """The gate, acting on ``qubits`` of n, applied to the state vector psi by
-    register tables: exp(-i t P) is cos(t) psi - i sin(t) P psi. The result
-    is a new vector, built in place to keep the temporaries few."""
+    """The gate, on ``qubits`` of n, applied by register tables to the last
+    axis of psi, any (..., 2^n) array: exp(-i t P) is cos(t) psi - i sin(t)
+    P psi, built in place in a new array. Each coefficient is the first
+    operand of its product, so a stack's rows round as the vectors alone."""
     if gate.kind == "cnot":
-        return psi.take(_cnot_source(*qubits, n))
+        return psi.take(_cnot_source(*qubits, n), axis=-1)
     if gate.kind == "h":
-        out = psi.take(_pauli_action("X", qubits, n)[0])
+        out = psi.take(_pauli_action("X", qubits, n)[0], axis=-1)
         out += _pauli_action("Z", qubits, n)[1] * psi
         out *= _SQRT_HALF
         return out
@@ -186,13 +188,13 @@ def _apply_gate(psi: np.ndarray, gate: Gate, qubits: tuple[int, ...], n: int) ->
     else:  # rx, ry or rz: exp(-i angle P / 2)
         pauli, t = _AXES[gate.kind], gate.angle / 2
     source, sign, factor = _pauli_action(pauli, qubits, n)
-    out = sign * (-1j * factor * math.sin(t))
+    coefficient = sign * (-1j * factor * math.sin(t))
     if source is None:  # diagonal P: one coefficient per entry, no gather
-        out += math.cos(t)
-        out *= psi
-    else:
-        out *= psi.take(source)
-        out += math.cos(t) * psi
+        coefficient += math.cos(t)
+        return coefficient * psi
+    out = psi.take(source, axis=-1)
+    np.multiply(coefficient, out, out=out)
+    out += math.cos(t) * psi
     return out
 
 

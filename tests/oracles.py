@@ -1,13 +1,13 @@
 """Brute-force reference implementations, deliberately independent of the
-package internals: gates are built as full 2^N x 2^N matrices with
-scipy.linalg.expm and Kronecker products, and the noise is applied as a
-literal Kraus sum.
+package internals: gates are built as full 2^N x 2^N matrices, each angled
+gate in the closed form cos(t) I - i sin(t) P with P a Kronecker product of
+2 x 2 Paulis, and the noise is applied as a literal Kraus sum.
 """
 
 import itertools
+import math
 
 import numpy as np
-from scipy.linalg import expm
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -27,23 +27,21 @@ def embed(ops_by_qubit, n):
 
 
 def full_gate_unitary(gate, n):
-    if gate.kind == "rx":
-        return expm(-0.5j * gate.angle * embed({gate.qubits[0]: X}, n))
-    if gate.kind == "ry":
-        return expm(-0.5j * gate.angle * embed({gate.qubits[0]: Y}, n))
-    if gate.kind == "rz":
-        return expm(-0.5j * gate.angle * embed({gate.qubits[0]: Z}, n))
+    """The gate's unitary on n qubits. A rotation is exp(-i angle P / 2) and a
+    Pauli exponential exp(-i angle P), each as cos(t) I - i sin(t) P."""
     if gate.kind == "h":
         return embed({gate.qubits[0]: H}, n)
     if gate.kind == "cnot":
         control, target = gate.qubits
         return embed({control: P0}, n) + embed({control: P1, target: X}, n)
-    if gate.kind == "pauli_exp":
-        generator = embed(
-            {q: PAULI[sym] for q, sym in zip(gate.qubits, gate.pauli)}, n
-        )
-        return expm(-1j * gate.angle * generator)
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    if gate.kind in ("rx", "ry", "rz"):
+        letters, t = gate.kind[1].upper(), 0.5 * gate.angle
+    elif gate.kind == "pauli_exp":
+        letters, t = gate.pauli, gate.angle
+    else:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    generator = embed({q: PAULI[c] for q, c in zip(gate.qubits, letters)}, n)
+    return math.cos(t) * embed({}, n) - 1j * math.sin(t) * generator
 
 
 def depolarising_kraus(qubit, rate, n):
@@ -56,7 +54,8 @@ def depolarising_kraus(qubit, rate, n):
 
 def depolarising_pair_map(rate):
     """The partial-replace channel at ``rate`` on a qubit's (row, column) index
-    pair, flattened as 2 * row + column, as the superoperator kernel built it."""
+    pair, flattened as 2 * row + column: rho's diagonal moves towards its mean
+    and the coherences shrink by 1 - rate."""
     stay = 1.0 - 0.5 * rate
     swap = 1.0 - stay
     coherence = 1.0 - rate
@@ -111,19 +110,6 @@ def statevector_run(program, psi):
     for gate in program.gates:
         psi = full_gate_unitary(gate, program.n_qubits) @ psi
     return psi
-
-
-def tensordot_run(program, psi):
-    """The state vector walked gate by gate: each ``Gate.matrix`` contracted
-    into its support axes with ``np.tensordot``."""
-    n = program.n_qubits
-    psi = np.array(psi, dtype=complex).reshape((2,) * n)
-    for gate in program.gates:
-        k = len(gate.qubits)
-        mat = gate.matrix().reshape((2,) * (2 * k))
-        psi = np.tensordot(mat, psi, axes=(list(range(k, 2 * k)), list(gate.qubits)))
-        psi = np.moveaxis(psi, list(range(k)), list(gate.qubits))
-    return psi.reshape(-1)
 
 
 def hamiltonian_matrix(hamiltonian):

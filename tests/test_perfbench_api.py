@@ -43,11 +43,20 @@ def test_positive_controls_run():
     spec = importlib.util.spec_from_file_location("controls", path)
     controls = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(controls)
-    program = ns.CircuitProgram(
-        2, (ns.Gate.hadamard(0), ns.Gate.cnot(0, 1), ns.Gate.rotation_y(1, 0.7))
-    ).with_noise(0.1)
-    rho = ns.run_circuit(program, ns.DensityMatrix.basis_state(2))
-    psi = ns.run_ideal(program, ns.basis_statevector(2))
+    # every gate kind, a CNOT both ways round and a Pauli exponential on
+    # non-adjacent qubits, since the control builds its kernel from gate.matrix()
+    gates = (
+        ns.Gate.hadamard(0),
+        ns.Gate.cnot(0, 1),
+        ns.Gate.rotation_y(1, 0.7),
+        ns.Gate.cnot(1, 0),
+        ns.Gate.rotation_z(0, -1.1),
+        ns.Gate.rotation_x(1, 2.3),
+        ns.Gate.pauli_exponential("XIYIZ", 0.4),
+    )
+    program = ns.CircuitProgram(5, gates).with_noise(0.1)
+    rho = ns.run_circuit(program, ns.DensityMatrix.basis_state(5))
+    psi = ns.run_ideal(program, ns.basis_statevector(5))
     reordered = controls.reordered_run_circuit(program, ns.DensityMatrix)
     assert np.abs(reordered.data - rho.data).max() < 1e-14
     report = ns.compute_spectral_report(rho, psi)

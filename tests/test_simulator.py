@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from noisescramble import (
     CircuitProgram,
@@ -23,6 +24,7 @@ from noisescramble import (
 from noisescramble.ansatz import build_sel_circuit
 from noisescramble import simulator
 from noisescramble.simulator import (
+    _apply_gate,
     _fused_ops,
     _from_pauli,
     _noisy_maps,
@@ -34,11 +36,12 @@ from noisescramble.simulator import (
 
 from .conftest import REPO_ROOT
 from .oracles import (
+    PAULI,
+    embed,
     full_gate_unitary,
     kraus_run,
     pauli_transfer_matrix,
     statevector_run,
-    tensordot_run,
 )
 
 
@@ -706,12 +709,6 @@ class TestFusedKernel:
         assert len(list(_fused_ops(program))) <= program.gate_count == 7042
 
 
-def _embedded(gate, n):
-    """The gate's unitary on n qubits: column j is the gate applied to |j>."""
-    program = CircuitProgram(n, (gate,))
-    return np.stack([run_ideal(program, column) for column in np.eye(2**n)], axis=1)
-
-
 def _every_kind_program(rng, n_qubits, n_gates):
     """Random Rx, Ry, Rz, H, CNOTs both ways round and Pauli exponentials of
     weight 1 to 4, as far as the width allows."""
@@ -735,7 +732,7 @@ def _every_kind_program(rng, n_qubits, n_gates):
 
 
 class TestTableWalk:
-    """run_ideal's register tables against Gate.matrix contracted by tensordot."""
+    """run_ideal's register tables against the oracle's full-register unitaries."""
 
     @pytest.mark.parametrize("n_qubits", range(1, 8))
     def test_random_programs_match_matrix_walk(self, rng, n_qubits):
@@ -746,7 +743,7 @@ class TestTableWalk:
             program = _every_kind_program(rng, n_qubits, 60)
             psi = random_statevector(rng, 2**n_qubits)
             got = run_ideal(program, psi)
-            assert np.abs(got - tensordot_run(program, psi)).max() <= 1e-14
+            assert np.abs(got - statevector_run(program, psi)).max() <= 1e-14
             seen.update((g.kind, len(g.qubits), list(g.qubits) == sorted(g.qubits)) for g in program.gates)
         expected = {(kind, 1, True) for kind in ("rx", "ry", "rz", "h")}
         expected |= {("pauli_exp", k, True) for k in range(1, min(4, n_qubits) + 1)}
@@ -770,8 +767,37 @@ class TestTableWalk:
         program = CircuitProgram(n_qubits, tuple(gates))
         psi = random_statevector(rng, 2**n_qubits)
         got = run_ideal(program, psi)
-        assert np.abs(got - tensordot_run(program, psi)).max() <= 1e-14
-        assert np.abs(got - statevector_run(program, psi)).max() <= 1e-12
+        assert np.abs(got - statevector_run(program, psi)).max() <= 1e-14
+
+    def test_batched_step_equals_vector_steps(self, rng):
+        # every gate kind on five qubits, with gaps in the supports and CNOTs
+        # both ways round: each row of a stack rounds as that vector alone
+        n = 5
+        gates = [
+            *(
+                Gate(kind, (q,), float(rng.uniform(-7, 7)))
+                for kind in ("rx", "ry", "rz")
+                for q in (0, 2, 4)
+            ),
+            Gate.hadamard(1),
+            Gate.hadamard(4),
+            Gate.cnot(0, 3),
+            Gate.cnot(4, 1),
+            Gate.cnot(2, 1),
+            *(
+                Gate.pauli_exponential(ops, float(rng.uniform(-7, 7)))
+                for ops in ("IIYII", "XIIZI", "ZIIIZ", "YIXIZ", "ZZIIZ", "XYIZY", "ZIZZZ")
+            ),
+        ]
+        assert {g.kind for g in gates} == {"rx", "ry", "rz", "h", "cnot", "pauli_exp"}
+        assert {len(g.qubits) for g in gates if g.pauli} == {1, 2, 3, 4}
+        stack = rng.normal(size=(6, 2**n)) + 1j * rng.normal(size=(6, 2**n))
+        for gate in gates:
+            got = _apply_gate(stack, gate, gate.qubits, n)
+            assert got.shape == stack.shape
+            for row, vector in zip(got, stack):
+                expected = _apply_gate(vector, gate, gate.qubits, n)
+                assert row.tobytes() == expected.tobytes(), gate
 
 
 class TestGateMatrixCaches:
@@ -812,16 +838,29 @@ class TestGateMatrixCaches:
                 assert ((rows != 0).sum(axis=0) <= 1).all(), ops
                 assert sorted(partner) == list(range(4**length))
 
-    @pytest.mark.parametrize("length", [1, 2, 3])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
     def test_every_pauli_string_matches_expm(self, length):
+        # the oracle's closed forms against expm, the one place it is used,
+        # then the state step on the identity of the whole register against them
         strings = ["".join(ops) for ops in itertools.product("IXYZ", repeat=length)]
         strings.remove("I" * length)
         assert len(strings) == 4**length - 1
-        for ops in strings:
-            for angle in (0.83, -2.4):
+        for angle in (0.83, -2.4):
+            for ops in strings:
                 gate = Gate.pauli_exponential(ops, angle)
-                expected = full_gate_unitary(gate, length)
-                assert np.abs(_embedded(gate, length) - expected).max() < 1e-14, ops
+                generator = embed({q: PAULI[c] for q, c in enumerate(ops) if c != "I"}, length)
+                self._check_against_expm(gate, expm(-1j * angle * generator), length)
+            for kind, q in itertools.product(("rx", "ry", "rz"), range(length)):
+                generator = embed({q: PAULI[kind[1].upper()]}, length)
+                by_expm = expm(-0.5j * angle * generator)
+                self._check_against_expm(Gate(kind, (q,), angle), by_expm, length)
+
+    @staticmethod
+    def _check_against_expm(gate, by_expm, n):
+        expected = full_gate_unitary(gate, n)
+        assert np.abs(expected - by_expm).max() < 1e-14, gate
+        got = _apply_gate(np.eye(2**n, dtype=complex), gate, gate.qubits, n).T
+        assert np.abs(got - expected).max() < 1e-14, gate
 
 
 def _noisy_map(gate, per_gate_error):
@@ -842,8 +881,9 @@ def _dense(ptm):
 
 
 class TestPauliTransferMatrices:
-    """The kernel's closed-form noisy maps against T (U (x) U*) T^-1 with the
-    superoperator kernel's depolarising map."""
+    """The kernel's closed-form noisy maps against the oracle's T S T^-1, for
+    the superoperator S of the oracle's unitary followed by a literal
+    partial-replace map on each qubit."""
 
     @pytest.mark.parametrize("per_gate_error", [0.0, 1e-8, 0.1, 1.0])
     def test_closed_forms_match_superoperator_oracle(self, per_gate_error):
@@ -860,9 +900,10 @@ class TestPauliTransferMatrices:
             k = len(gate.qubits)
             qubits, ptm = _noisy_map(gate, per_gate_error)
             assert qubits == tuple(sorted(gate.qubits))
-            u = gate.matrix()
-            if qubits != gate.qubits:  # the CNOT listed as (target, control)
-                u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            # the unitary on the map's qubits, in their ascending order
+            on_support = tuple(map(qubits.index, gate.qubits))
+            on_support = Gate(gate.kind, on_support, gate.angle, gate.pauli)
+            u = full_gate_unitary(on_support, k)
             expected = pauli_transfer_matrix(u, NoiseSpec(per_gate_error).per_qubit_replace_rate(k))
             ptm = _dense(ptm)
             assert np.abs(ptm - expected).max() < 1e-14, (gate.kind, gate.pauli)
