@@ -1,24 +1,25 @@
 """Random strongly-entangling circuits scramble local noise into white noise.
 
 Sweeps 5-qubit SEL circuits at random parameters over a log-spaced range of
-gate counts, at EPSILON_PROXY, the package's stand-in rate for the
-zero-noise limit. The eigenvalue uniformity W falls off as a power law in
-the gate count with an exponent near one half. The commutator norm C falls
-about as fast and stays five to seven times below W at every size; the
-script prints the smallest W/C ratio it measured. A small C is what makes
-purification-based error mitigation work on this family.
+gate counts at an error rate of 0, which a config takes as the zero-noise
+limit and simulates at EPSILON_PROXY, the package's stand-in rate. The
+eigenvalue uniformity W falls off as a power law in the gate count with an
+exponent near one half. The commutator norm C falls about as fast and
+stays five to seven times below W at every size; the script prints the
+smallest W/C ratio it measured. A small C is what makes purification-based
+error mitigation work on this family.
 
 Runtime: a few seconds.
 """
 
 import numpy as np
 
-from noisescramble import EPSILON_PROXY, ExperimentConfig, aggregate_and_fit, run_sweep
+from noisescramble import ExperimentConfig, aggregate_and_fit, run_sweep
 
 config = ExperimentConfig(
     family="SEL",
     n_qubits=5,
-    epsilons=(EPSILON_PROXY,),  # the zero-noise limit of both metrics
+    epsilons=(0.0,),  # the zero-noise limit of both metrics
     layers=(4, 8, 16, 32, 64, 128),
     parameter_mode="random",
     seeds=tuple(range(10)),

@@ -12,7 +12,6 @@ import numpy as np
 from .errors import ConfigError, NoiseScrambleError
 from .harness import (
     CSV_HEADER,
-    EPSILON_PROXY,
     ExperimentConfig,
     aggregate_and_fit,
     format_row,
@@ -24,21 +23,16 @@ from .fitting import alpha_by_qubits
 
 
 def _load_config(args, payload: dict | None = None) -> ExperimentConfig:
-    """The ``--config`` file (or its already-read ``payload``) with ``--seeds`` applied.
-
-    An epsilon of 0 stands for the zero-noise limit of W and C and is
-    simulated at ``EPSILON_PROXY``, in every command.
-    """
+    """The ``--config`` file (or its already-read ``payload``) with ``--seeds`` applied."""
+    if args.seeds is not None and args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     if payload is None:
         config = ExperimentConfig.from_json(args.config)
     else:
         config = ExperimentConfig.from_dict(payload, source=str(args.config))
-    if args.seeds is not None:
-        if args.seeds < 1:
-            raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-        config = replace(config, seeds=tuple(range(args.seeds)))
-    epsilons = tuple(dict.fromkeys(EPSILON_PROXY if e == 0.0 else e for e in config.epsilons))
-    return replace(config, epsilons=epsilons)
+    if args.seeds is None:
+        return config
+    return replace(config, seeds=tuple(range(args.seeds)))
 
 
 def _cmd_sweep(args) -> int:

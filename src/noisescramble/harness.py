@@ -36,8 +36,9 @@ CSV_SCHEMA_VERSION = 1
 # Dense density matrices only; 2^(2N) complex entries caps the width.
 MAX_QUBITS = 12
 
-# Stand-in for the zero-error limit of W and C: their O(epsilon) bias there
-# is below 1e-5 relative, and the spectrum is still well above float noise.
+# Stand-in for the zero-error limit of W and C, which a config's epsilon of 0
+# means: their O(epsilon) bias there is below 1e-5 relative, and the
+# spectrum is still well above float noise.
 EPSILON_PROXY = 1e-8
 
 # Types named by the annotation text of config and row fields, like "int".
@@ -116,8 +117,12 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct")
         if any(not (0.0 <= e <= 1.0) for e in self.epsilons):
             raise ConfigError("every epsilon must lie in [0, 1]")
+        epsilons = dict.fromkeys(EPSILON_PROXY if e == 0.0 else e for e in self.epsilons)
+        object.__setattr__(self, "epsilons", tuple(epsilons))
         if any(n < 1 for n in self.layers):
             raise ConfigError("every layer count must be at least 1")
+        if self.family == "HVA-SPARSE" and self.hamiltonian_file is None:
+            raise ConfigError("the sparse family needs a hamiltonian_file")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -135,13 +140,11 @@ class ExperimentConfig:
         for field in ("family", "n_qubits", "epsilons", "layers"):
             if field not in payload:
                 raise ConfigError(f"{source}: missing field {field!r}")
-        return cls(
-            **{
-                field.name: _config_value(source, field, payload[field.name])
-                for field in fields(cls)
-                if field.name in payload
-            }
-        )
+        by_name = {field.name: field for field in fields(cls)}
+        values = {key: value for key, value in payload.items() if key != "schema_version"}
+        if unknown := sorted(values.keys() - by_name.keys()):
+            raise ConfigError(f"{source}: unknown fields {unknown}")
+        return cls(**{key: _config_value(source, by_name[key], v) for key, v in values.items()})
 
 
 @dataclass(frozen=True)
@@ -187,8 +190,6 @@ def derive_seed(*parts) -> int:
 
 
 def _no_error_probability(epsilon: float, nu: int) -> float:
-    if epsilon == 0.0:
-        return 1.0
     if epsilon >= 1.0:
         return 0.0
     return math.exp(nu * math.log1p(-epsilon))
@@ -282,8 +283,6 @@ def run_sweep(config: ExperimentConfig, out_path=None) -> list[ResultRow]:
         )
     file_hamiltonian = None
     if config.family == "HVA-SPARSE":
-        if config.hamiltonian_file is None:
-            raise ConfigError("the sparse family needs a hamiltonian_file")
         file_hamiltonian = load_hamiltonian_file(config.hamiltonian_file)
     grid = (
         _compute_row(config, epsilon, layer_index, n_layers, seed_index, file_hamiltonian)
@@ -357,9 +356,9 @@ def aggregate_and_fit(rows, metric_kind: str = "W") -> ScalingFit:
     """Seed-average one metric per circuit size, then fit the scaling model.
 
     The rows must all belong to a single (family, n_qubits, epsilon)
-    configuration; rows whose metric is null (e.g. noiseless points) are
-    skipped. The fit's samples are the seed means, by ascending size, with
-    their standard errors.
+    configuration; rows whose metric is null (a numerically pure state, at
+    a rate too small to move it) are skipped. The fit's samples are the
+    seed means, by ascending size, with their standard errors.
     """
     rows = list(rows)
     if not rows:

@@ -194,9 +194,7 @@ def arrowhead_transform(rho, psi_id: np.ndarray) -> ArrowheadForm:
     psi = _check_vector(psi_id, d)
     seed = np.eye(d, dtype=complex)
     seed[:, 0] = psi
-    basis, upper = np.linalg.qr(seed)
-    if abs(upper[0, 0]) < 1e-12:
-        raise NumericalRankError("basis completion around the ideal state failed")
+    basis = np.linalg.qr(seed)[0]
     basis[:, 0] *= np.vdot(basis[:, 0], psi)  # undo QR's phase on the first column
     residual = np.abs(basis.conj().T @ basis - np.eye(d)).max()
     if residual > 1e-10:

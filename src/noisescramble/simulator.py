@@ -70,6 +70,8 @@ class Gate:
     pauli: str | None = None
 
     def __post_init__(self):
+        if not _are_indices(self.qubits):  # before the cache, where 0.0 and True hash as 0
+            raise InvalidGateError(f"support {self.qubits!r} is not a tuple of integers")
         angled = _shape_check(self.kind, self.qubits, self.pauli)
         if (self.angle is not None) != angled:
             raise InvalidGateError(f"{self.kind} gate {'needs' if angled else 'takes no'} angle")
@@ -123,6 +125,13 @@ class Gate:
         k = len(self.qubits)
         rows = _apply_gate(np.eye(2**k, dtype=complex), self, tuple(range(k)), k)
         return np.ascontiguousarray(rows.T)
+
+
+def _are_indices(values) -> bool:
+    """Whether ``values`` is a tuple of Python or numpy integers, bools excluded."""
+    return isinstance(values, tuple) and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
+    )
 
 
 @functools.lru_cache(maxsize=1024)
@@ -246,8 +255,8 @@ class CircuitProgram:
     noise: NoiseSpec = NoiseSpec(0.0)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise InvalidGateError(f"need at least 1 qubit, got {self.n_qubits}")
+        if not _are_indices((self.n_qubits,)) or self.n_qubits < 1:
+            raise InvalidGateError(f"need a width of at least 1 qubit, got {self.n_qubits!r}")
         for gate in self.gates:
             if max(gate.qubits) >= self.n_qubits:
                 raise InvalidGateError(

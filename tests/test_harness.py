@@ -113,6 +113,10 @@ class TestExperimentConfig:
             # which has no vqe schedule
             ("sparse_terms_per_layer", 0),
             ("parameter_mode", "vqe"),
+            # fields the config does not have, which would be silently dropped
+            ("seedz", [0, 1]),
+            ("sparse_terms", 100),
+            ("n_qubits_list", [3]),
         ],
     )
     def test_non_integers_rejected(self, field, value):
@@ -120,6 +124,12 @@ class TestExperimentConfig:
         payload[field] = value
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_dict(payload)
+
+    def test_zero_epsilon_is_the_proxy_once(self):
+        config = ExperimentConfig("SEL", 3, epsilons=(0.0, 1e-8, 0.01), layers=(1,))
+        assert config.epsilons == (EPSILON_PROXY, 0.01)
+        config = dataclasses.replace(config, epsilons=(0.01, 0.0, 0.01))
+        assert config.epsilons == (0.01, EPSILON_PROXY)
 
     def test_integral_floats_accepted(self):
         payload = config_payload(small_config())
@@ -146,7 +156,8 @@ class TestRunSweep:
         assert len(rows) == 1 * 3 * 3
 
     def test_noiseless_rows_are_null_with_reason(self):
-        rows = run_sweep(small_config(epsilons=(0.0,), layers=(1,), seeds=(0,)))
+        # 1 - 1e-300 rounds to 1, so rho stays exactly pure
+        rows = run_sweep(small_config(epsilons=(1e-300,), layers=(1,), seeds=(0,)))
         (row,) = rows
         assert row.uniformity is None
         assert row.commutator_rel is None
@@ -167,8 +178,20 @@ class TestRunSweep:
             run_sweep(small_config(n_qubits=13))
 
     def test_sparse_family_requires_file(self):
-        with pytest.raises(ConfigError):
-            run_sweep(small_config(family="HVA-SPARSE", n_qubits=4))
+        with pytest.raises(ConfigError, match="hamiltonian_file"):
+            small_config(family="HVA-SPARSE", n_qubits=4)
+
+    def test_library_rows_equal_cli_rows(self, tmp_path):
+        payload = config_payload(small_config(layers=(1, 2), seeds=(0,)))
+        payload["epsilons"] = [0.0, 0.01, 0.0]
+        config_path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+        config_path.write_text(json.dumps(payload))
+        assert cli_main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+        library, cli = run_sweep(ExperimentConfig.from_json(config_path)), read_rows(out)
+        assert [row.epsilon for row in library] == [EPSILON_PROXY] * 2 + [0.01] * 2
+        assert [dataclasses.replace(row, wall_time_seconds=0.0) for row in library] == [
+            dataclasses.replace(row, wall_time_seconds=0.0) for row in cli
+        ]
 
     def test_sparse_family_with_bundled_file(self):
         config = small_config(
@@ -389,7 +412,7 @@ class TestCsvRoundTrip:
             assert loaded.uniformity == original.uniformity
 
     def test_null_fields_round_trip(self, tmp_path):
-        rows = run_sweep(small_config(epsilons=(0.0,), layers=(1,), seeds=(0,)))
+        rows = run_sweep(small_config(epsilons=(1e-300,), layers=(1,), seeds=(0,)))
         path = tmp_path / "rows.csv"
         write_rows(path, rows)
         (loaded,) = read_rows(path)
@@ -397,7 +420,7 @@ class TestCsvRoundTrip:
         assert loaded.reason == "noiseless"
 
     def test_every_field_round_trips(self, tmp_path):
-        rows = run_sweep(small_config(epsilons=(0.0, 0.01), layers=(1, 2), seeds=(0, 1)))
+        rows = run_sweep(small_config(epsilons=(1e-300, 0.01), layers=(1, 2), seeds=(0, 1)))
         assert {row.reason for row in rows} == {None, "noiseless"}
         path = tmp_path / "rows.csv"
         write_rows(path, rows)
@@ -493,8 +516,9 @@ class TestCli:
 
     def test_metrics_simulates_zero_epsilon_like_sweep(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
-        config = small_config(epsilons=(0.0, 0.01), layers=(2,), seeds=(0,))
-        config_path.write_text(json.dumps(config_payload(config)))
+        payload = config_payload(small_config(layers=(2,), seeds=(0,)))
+        payload["epsilons"] = [0.0, 0.01]
+        config_path.write_text(json.dumps(payload))
         printed = self._assert_metrics_prints_first_sweep_row(str(config_path), tmp_path, capsys)
         assert float(printed["epsilon"]) == EPSILON_PROXY
         assert not printed["W"].startswith("nan")
@@ -559,14 +583,33 @@ class TestCli:
             assert fields_a == fields_b
 
     def test_sweep_epsilon_proxy_substitution(self, tmp_path):
-        config = small_config(epsilons=(0.0, EPSILON_PROXY, 0.01), layers=(1,), seeds=(0,))
+        payload = config_payload(small_config(layers=(1,), seeds=(0,)))
+        payload["epsilons"] = [0.0, EPSILON_PROXY, 0.01]
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config_payload(config)))
+        config_path.write_text(json.dumps(payload))
         out = tmp_path / "rows.csv"
         assert cli_main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
         proxy_row, noisy_row = read_rows(out)
         assert (proxy_row.epsilon, noisy_row.epsilon) == (EPSILON_PROXY, 0.01)
         assert proxy_row.uniformity is not None and proxy_row.commutator_rel is not None
+
+    @pytest.mark.parametrize(
+        "update, named",
+        [
+            ({"seedz": [0, 1]}, "seedz"),
+            ({"family": "HVA-SPARSE", "n_qubits": 4}, "hamiltonian_file"),
+        ],
+    )
+    def test_sweep_rejects_config_before_writing(self, tmp_path, capsys, update, named):
+        payload = config_payload(small_config())
+        payload.update(update)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "alpha-scan"])
     @pytest.mark.parametrize("seeds", ["0", "-2"])

@@ -116,11 +116,23 @@ class TestGate:
             ("h", (0, 1)),
             ("pauli_exp", (0, 1), 0.3, "XYZ"),
             ("t", (0,)),
+            ("rz", (0.0,), 1.0),
+            ("rz", (True,), 1.0),
+            ("rz", (np.float64(0.0),), 1.0),
+            ("cnot", [0, 1]),
+            ("cnot", (0, "1")),
+            ("pauli_exp", (0, 1.0), 0.3, "XZ"),
         ],
     )
     def test_malformed_definition_rejected(self, args):
+        Gate("rz", (0,), 1.0)  # a cached check of (0,) must not pass (0.0,) or (True,)
         with pytest.raises(InvalidGateError):
             Gate(*args)
+
+    def test_numpy_integer_support_accepted(self):
+        gate = Gate("cnot", (np.int64(1), np.int32(0)))
+        assert gate == Gate.cnot(1, 0)
+        assert CircuitProgram(np.int64(2), (gate,)).n_qubits == 2
 
 
 def _run_one_gate(state, gate, per_gate_error=0.0):
@@ -160,6 +172,11 @@ class TestApplyUnitary:
     def test_out_of_range_qubit_rejected(self):
         with pytest.raises(InvalidGateError):
             CircuitProgram(1, (Gate.hadamard(1),))
+
+    @pytest.mark.parametrize("width", [2.0, True, "2", 0])
+    def test_malformed_width_rejected(self, width):
+        with pytest.raises(InvalidGateError):
+            CircuitProgram(width, (Gate.hadamard(0),))
 
     def test_spectrum_preserved(self, rng):
         from .conftest import random_density_matrix
