@@ -104,14 +104,9 @@ def _write_plot_data(directory, family, n_qubits, epsilon, metric, fit) -> None:
 def _cmd_alpha_scan(args) -> int:
     payload = read_json_object(args.config)
     qubit_counts = payload.pop("n_qubits_list", None)
-    if not (
-        isinstance(qubit_counts, list)
-        and qubit_counts
-        and all(type(n) is int and n > 0 for n in qubit_counts)
-    ):
+    if not (isinstance(qubit_counts, list) and qubit_counts):
         raise ConfigError(
-            f"{args.config}: 'n_qubits_list' must be a non-empty list of positive integers,"
-            f" got {qubit_counts!r}"
+            f"{args.config}: n_qubits_list must be a non-empty list, got {qubit_counts!r}"
         )
     payload.setdefault("n_qubits", qubit_counts[0])
     base = _load_config(args, payload)
@@ -119,12 +114,16 @@ def _cmd_alpha_scan(args) -> int:
         raise ConfigError(
             f"{args.config}: alpha-scan fits one error rate, got epsilons {list(base.epsilons)}"
         )
+    try:  # every width is checked before the first sweep writes anything
+        configs = [replace(base, n_qubits=n) for n in qubit_counts]
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: n_qubits_list: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = ("W", "C") if args.metric == "both" else (args.metric,)
     fits = {metric: {} for metric in metrics}
-    for n_qubits in qubit_counts:
-        config = replace(base, n_qubits=n_qubits)
+    for config in configs:
+        n_qubits = config.n_qubits
         rows = run_sweep(config, out_path=out_dir / f"rows_n{n_qubits}.csv")
         for metric, by_qubits in fits.items():
             fit = aggregate_and_fit(rows, metric)

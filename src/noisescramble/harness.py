@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,8 +26,8 @@ from .hamiltonians import (
     build_xxx_hamiltonian,
     load_hamiltonian_file,
 )
-from .metrics import compute_spectral_report
-from .simulator import CircuitProgram, basis_statevector, run_circuit, run_ideal
+from .metrics import _report
+from .simulator import CircuitProgram, _check_density, _evolve, basis_statevector, run_ideal
 
 FAMILIES = ("SEL", "HVA-XXX", "HVA-TFI", "HVA-TFI-RZ", "HVA-SPARSE")
 
@@ -56,32 +57,32 @@ def read_json_object(path) -> dict:
     return payload
 
 
-def _config_value(source: str, field, value):
+def _config_value(field, value):
     """A config value checked against its field's annotation text, like "tuple[int, ...]".
 
-    Numbers exclude bools and, for an int, non-integral floats; a "| None"
-    field also takes null. Anything else is a ConfigError naming the field.
+    Numbers, numpy scalars too, exclude bools and, for an int, non-integral
+    values; a "| None" field also takes None. Else a ConfigError names the field.
     """
     kind, _, nullable = field.type.partition(" | ")
     if nullable and value is None:
         return None
     item = kind.removeprefix("tuple[").removesuffix(", ...]")
     if item == kind:
-        return _config_item(source, field.name, value, kind)
+        return _config_item(field.name, value, kind)
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{source}: {field.name} must be a list, got {value!r}")
-    return tuple(_config_item(source, field.name, v, item) for v in value)
+        raise ConfigError(f"{field.name} must be a list, got {value!r}")
+    return tuple(_config_item(field.name, v, item) for v in value)
 
 
-def _config_item(source: str, name: str, value, kind: str):
+def _config_item(name: str, value, kind: str):
     if kind == "str":
         valid = isinstance(value, str)
     else:
-        valid = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if valid and kind == "int" and isinstance(value, float):
-            valid = value.is_integer()
+        valid = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if valid and kind == "int" and not isinstance(value, numbers.Integral):
+            valid = float(value).is_integer()
     if not valid:
-        raise ConfigError(f"{source}: {name} must hold {kind} values, got {value!r}")
+        raise ConfigError(f"{name} must hold {kind} values, got {value!r}")
     return _KINDS[kind](value)
 
 
@@ -101,6 +102,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for field in fields(self):  # types and tuples first: the checks below rely on them
+            object.__setattr__(self, field.name, _config_value(field, getattr(self, field.name)))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.parameter_mode not in PARAMETER_MODES:
@@ -119,6 +122,8 @@ class ExperimentConfig:
             raise ConfigError("every epsilon must lie in [0, 1]")
         epsilons = dict.fromkeys(EPSILON_PROXY if e == 0.0 else e for e in self.epsilons)
         object.__setattr__(self, "epsilons", tuple(epsilons))
+        if self.n_qubits < 1:
+            raise ConfigError(f"n_qubits must be at least 1, got {self.n_qubits}")
         if any(n < 1 for n in self.layers):
             raise ConfigError("every layer count must be at least 1")
         if self.family == "HVA-SPARSE" and self.hamiltonian_file is None:
@@ -140,11 +145,13 @@ class ExperimentConfig:
         for field in ("family", "n_qubits", "epsilons", "layers"):
             if field not in payload:
                 raise ConfigError(f"{source}: missing field {field!r}")
-        by_name = {field.name: field for field in fields(cls)}
         values = {key: value for key, value in payload.items() if key != "schema_version"}
-        if unknown := sorted(values.keys() - by_name.keys()):
+        if unknown := sorted(values.keys() - {field.name for field in fields(cls)}):
             raise ConfigError(f"{source}: unknown fields {unknown}")
-        return cls(**{key: _config_value(source, by_name[key], v) for key, v in values.items()})
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -247,10 +254,11 @@ def _compute_row(
         file_hamiltonian=file_hamiltonian,
     ).with_noise(epsilon)
     started = time.perf_counter()
-    rho = run_circuit(program)
+    rho = _evolve(program)  # run_circuit's buffer, which the report then overwrites
+    _check_density(rho)
     psi = run_ideal(program, basis_statevector(config.n_qubits))
     eta_est = _no_error_probability(epsilon, program.gate_count)
-    report = compute_spectral_report(rho, psi, eta_estimate=eta_est)
+    report = _report(rho, psi, eta_est)
     elapsed = time.perf_counter() - started
     return ResultRow(
         family=config.family,

@@ -33,6 +33,9 @@ _PURITY_TOL = 1e-12  # above 1 - this, the dominant eigenvalue counts as 1
 _CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped to 0
 # lambda_1 - F is a difference of two O(1) numbers; below this it is rounding
 _GAP_FLOOR = 1e2 * np.finfo(float).eps
+# entries per row block (64 KiB) of the report's in-place rho - rho_wn; the
+# broadcast product of a block takes two more buffers of its size
+_BLOCK = 4096
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -64,6 +67,11 @@ def eigendecompose(rho, psi_id: np.ndarray | None = None) -> SpectralDecompositi
     its data is read-only. ``psi_id``, when given, is only checked to be a
     normalised vector of matching size.
     """
+    return SpectralDecomposition(eigenvalues=_spectrum(_checked_matrix(rho, psi_id)))
+
+
+def _checked_matrix(rho, psi_id: np.ndarray | None = None) -> np.ndarray:
+    """rho's matrix, checked as ``eigendecompose`` says."""
     mat = _as_matrix(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
@@ -71,11 +79,15 @@ def eigendecompose(rho, psi_id: np.ndarray | None = None) -> SpectralDecompositi
         _check_hermitian(mat, 1e-10)
     if psi_id is not None:
         _check_vector(psi_id, mat.shape[0])
+    return mat
+
+
+def _spectrum(mat: np.ndarray) -> np.ndarray:
     vals = np.linalg.eigvalsh(mat)
     if vals[0] < -_CLAMP_TOL:
         raise InvalidStateError(f"eigenvalue {vals[0]:.3e} below -{_CLAMP_TOL:.0e}")
     vals = np.clip(vals[::-1], 0.0, None)
-    return SpectralDecomposition(eigenvalues=vals / vals.sum())
+    return vals / vals.sum()
 
 
 def eigenvalue_uniformity(decomposition) -> float:
@@ -330,21 +342,29 @@ class SpectralReport:
 def compute_spectral_report(
     rho, psi_id: np.ndarray, eta_estimate: float | None = None
 ) -> SpectralReport:
-    """Assemble the full metric set for one simulated state."""
-    mat = _as_matrix(rho)
-    psi = _check_vector(psi_id, mat.shape[0])
-    decomposition = eigendecompose(rho, psi)
-    lam1 = float(decomposition.eigenvalues[0])
-    f = fidelity(mat, psi)
-    commutator_abs = 2.0 * math.sqrt(variance(mat, psi))
+    """Assemble the full metric set for one simulated state; rho is copied, never written."""
+    return _report(np.array(_checked_matrix(rho)), psi_id, eta_estimate)
+
+
+def _report(work: np.ndarray, psi_id: np.ndarray, eta_estimate: float | None) -> SpectralReport:
+    """The report of a checked density matrix, overwritten with rho - rho_wn
+    once its spectrum, F and variance are taken; a sweep row passes its own."""
+    d = work.shape[0]
+    psi = _check_vector(psi_id, d)
+    eigenvalues = _spectrum(work)
+    lam1 = float(eigenvalues[0])
+    f = fidelity(work, psi)
+    commutator_abs = 2.0 * math.sqrt(variance(work, psi))
     degenerate = lam1 >= 1.0 - _PURITY_TOL
-    uniformity = None if degenerate else eigenvalue_uniformity(decomposition)
+    uniformity = None if degenerate else eigenvalue_uniformity(eigenvalues)
     commutator_rel = None if degenerate else commutator_abs / (1.0 - lam1)
-    # rho - rho_wn in one working matrix, rounded as rho - rho_wn rounds
-    work = np.outer(psi, psi.conj())
-    work *= -lam1
-    work.reshape(-1)[:: psi.size + 1] -= (1.0 - lam1) / psi.size
-    work += mat
+    # rho - rho_wn in row blocks, each entry rounded as rho - rho_wn rounds
+    bra, rows = psi.conj(), max(1, _BLOCK // d)
+    for start in range(0, d, rows):
+        block = np.outer(psi[start : start + rows], bra)
+        block *= -lam1
+        block.reshape(-1)[start :: d + 1] -= (1.0 - lam1) / d
+        work[start : start + rows] += block
     dist_wn = float(np.abs(np.linalg.eigvalsh(work)).sum())
     error_overlap = None
     if eta_estimate is not None and eta_estimate < 1.0 - 1e-15:

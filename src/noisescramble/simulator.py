@@ -21,7 +21,8 @@ exponential on more qubits and its noise are one op that pairs
 coefficients, never a dense 4^k map. The state enters the Pauli basis
 once, directly as |0...0><0...0| by default, and leaves it once, as an
 exactly Hermitian d x d matrix; memory peaks at two complex d x d
-buffers, in that last conversion.
+buffers, in that last conversion. A sweep row's report then builds
+rho - rho_wn in rho's buffer, so it peaks at rho plus LAPACK's copy.
 ``run_ideal`` walks a state vector by cached register tables, with no gate
 matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi =
 factor * sign * psi[source], or one coefficient per entry times psi for a
@@ -294,9 +295,7 @@ class DensityMatrix:
         if data.shape != (d, d):
             raise ShapeError(f"expected shape {(d, d)}, got {data.shape}")
         object.__setattr__(self, "data", data)
-        _check_hermitian(data, 1e-12)
-        if not (abs(np.trace(data).real - 1.0) <= 1e-10 and abs(np.trace(data).imag) <= 1e-10):
-            raise InvalidStateError(f"trace {np.trace(data)!r} differs from 1 beyond 1e-10")
+        _check_density(data)
 
     @classmethod
     def basis_state(cls, n_qubits: int) -> "DensityMatrix":
@@ -306,6 +305,13 @@ class DensityMatrix:
         data[0, 0] = 1.0
         data.flags.writeable = False
         return cls(n_qubits, data)
+
+
+def _check_density(data: np.ndarray) -> None:
+    """Raise unless the d x d ``data`` is Hermitian within 1e-12 and of trace 1 within 1e-10."""
+    _check_hermitian(data, 1e-12)
+    if not (abs(np.trace(data).real - 1.0) <= 1e-10 and abs(np.trace(data).imag) <= 1e-10):
+        raise InvalidStateError(f"trace {np.trace(data)!r} differs from 1 beyond 1e-10")
 
 
 def _check_hermitian(data: np.ndarray, tol: float) -> None:
@@ -536,17 +542,9 @@ def _from_pauli(x: np.ndarray, n: int) -> np.ndarray:
     return free.reshape(2**n, 2**n)
 
 
-def run_circuit(program: CircuitProgram, initial: DensityMatrix | None = None) -> DensityMatrix:
-    """Evolve a density matrix, by default |0...0><0...0|, through the noisy gates in order.
-
-    Each gate applies its ideal unitary; every support qubit then suffers
-    an independent uniform X/Y/Z error with probability
-    1 - (1 - eps)^(1/q), so the whole gate is error-free with probability
-    exactly 1 - eps. With a zero error rate the output is the ideal
-    (generally pure) state. The gates are applied as fused ops (see
-    ``_fused_ops``), which changes the result only by rounding. The default
-    start needs no d x d matrix; memory peaks at ``_from_pauli``'s two buffers.
-    """
+def _evolve(program: CircuitProgram, initial: DensityMatrix | None = None) -> np.ndarray:
+    """``run_circuit``'s state as a fresh, writable and unchecked d x d buffer
+    that nothing else holds; memory peaks at ``_from_pauli``'s two buffers."""
     n = program.n_qubits
     if initial is None:
         x = functools.reduce(np.multiply.outer, [_ZERO_STATE] * n, 1.0)
@@ -557,9 +555,24 @@ def run_circuit(program: CircuitProgram, initial: DensityMatrix | None = None) -
     for op in _fused_ops(program):
         x = op.apply(x)
     x = np.ascontiguousarray(x, dtype=complex)  # frees the real state for the second buffer
-    x = _from_pauli(x, n)  # frees the spent buffer before the check
-    x.flags.writeable = False  # the only reference: DensityMatrix keeps it uncopied
-    return DensityMatrix(n, x)
+    return _from_pauli(x, n)  # the spent buffer goes with this frame
+
+
+def run_circuit(program: CircuitProgram, initial: DensityMatrix | None = None) -> DensityMatrix:
+    """Evolve a density matrix, by default |0...0><0...0|, through the noisy gates in order.
+
+    Each gate applies its ideal unitary; every support qubit then suffers
+    an independent uniform X/Y/Z error with probability
+    1 - (1 - eps)^(1/q), so the whole gate is error-free with probability
+    exactly 1 - eps. With a zero error rate the output is the ideal
+    (generally pure) state. The gates are applied as fused ops (see
+    ``_fused_ops``), which changes the result only by rounding. The default
+    start needs no d x d matrix; memory peaks at ``_from_pauli``'s two buffers.
+    The result keeps one of them, read-only; a sweep row takes it writable.
+    """
+    rho = _evolve(program, initial)
+    rho.flags.writeable = False  # the only reference: DensityMatrix keeps it uncopied
+    return DensityMatrix(program.n_qubits, rho)
 
 
 def run_ideal(program: CircuitProgram, initial: np.ndarray) -> np.ndarray:

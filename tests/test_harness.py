@@ -18,6 +18,7 @@ from noisescramble import (
     aggregate_and_fit,
     basis_statevector,
     build_program,
+    build_white_noise_state,
     compute_spectral_report,
     derive_seed,
     load_hamiltonian_file,
@@ -26,6 +27,7 @@ from noisescramble import (
     run_ideal,
     run_sweep,
     scaling_model,
+    trace_distance,
     write_rows,
 )
 from noisescramble import metrics, simulator
@@ -35,6 +37,9 @@ from noisescramble.harness import CONFIG_SCHEMA_VERSION
 
 from .conftest import REPO_ROOT
 from .oracles import kraus_run
+
+
+PYTHON_CONFIG = dict(family="SEL", n_qubits=3, epsilons=(0.01,), layers=(1,))
 
 
 def small_config(**overrides):
@@ -137,6 +142,35 @@ class TestExperimentConfig:
         config = ExperimentConfig.from_dict(payload)
         assert config.n_qubits == 3 and config.layers == (1, 2)
         assert all(type(v) is int for v in (config.n_qubits, *config.layers))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_qubits", 3.5),
+            ("layers", (1.5,)),
+            ("seeds", (0.5,)),
+            ("n_qubits", True),
+            ("seeds", (np.bool_(True),)),
+            ("n_qubits", 0),
+        ],
+    )
+    def test_config_built_in_python_is_typed(self, field, value):
+        # the same checks as a config file, made before run_sweep sees the config
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{**PYTHON_CONFIG, field: value})
+
+    def test_numpy_scalars_accepted(self):
+        layers = (np.int32(1), np.float64(2.0))
+        config = ExperimentConfig("SEL", np.int64(3), [np.float32(0.5)], layers, seeds=(np.uint8(0),))
+        assert config == ExperimentConfig("SEL", 3, (0.5,), (1, 2), seeds=(0,))
+        assert all(type(v) is int for v in (config.n_qubits, *config.layers, *config.seeds))
+        assert type(config.epsilons[0]) is float
+
+    def test_type_errors_from_a_file_name_the_file(self):
+        payload = config_payload(small_config())
+        payload["layers"] = [1.5]
+        with pytest.raises(ConfigError, match=r"^scan\.json: layers"):
+            ExperimentConfig.from_dict(payload, source="scan.json")
 
 
 class TestDeriveSeed:
@@ -294,6 +328,29 @@ class TestOneEvolutionPass:
             sparse_terms_per_layer=30,
             hamiltonian_file=str(REPO_ROOT / "perfbench" / "data" / "toy_molecule_4q.txt"),
         )
+
+    def test_rows_equal_the_public_report_across_row_blocks(self):
+        # at n=9 the row's report builds rho - rho_wn in rho's buffer in 32
+        # row blocks; the public report builds it in a copy
+        config = small_config(n_qubits=9, epsilons=(1e-3, 1e-8), layers=(1,), seeds=(0,))
+        rows = run_sweep(config)
+        assert len(rows) == 2
+        for row, (_, _, program) in zip(rows, _grid_programs(config)):
+            psi = run_ideal(program, basis_statevector(9))
+            report = compute_spectral_report(run_circuit(program), psi)
+            names = ("fidelity", "lambda1", "uniformity", "commutator_abs", "commutator_rel")
+            for name in (*names, "trace_dist_wn"):
+                assert getattr(row, name) == getattr(report, name), name
+            assert row.reason == report.degenerate_reason
+
+    def test_wide_white_noise_distance_matches_the_white_noise_state(self):
+        # n=10: 128 row blocks, against rho_wn built whole and subtracted
+        config = small_config(n_qubits=10, epsilons=(1e-3,), layers=(1,), seeds=(0,))
+        (row,) = run_sweep(config)
+        ((_, _, program),) = _grid_programs(config)
+        rho = run_circuit(program)
+        white = build_white_noise_state(run_ideal(program, basis_statevector(10)), row.lambda1)
+        assert row.trace_dist_wn == pytest.approx(trace_distance(rho, white.data), rel=1e-10)
 
     def test_row_path_builds_no_gate_matrix(self, monkeypatch):
         # both walks run from cached tables: rho from closed-form transfer
@@ -695,6 +752,19 @@ class TestCli:
         code = cli_main(["alpha-scan", "--config", str(config_path), "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("widths", [[3, 4.5], [3, 0], [3, True]])
+    def test_alpha_scan_checks_every_width_before_the_first_sweep(
+        self, tmp_path, capsys, widths
+    ):
+        payload = config_payload(small_config())
+        payload["n_qubits_list"] = widths
+        config_path = tmp_path / "scan.json"
+        config_path.write_text(json.dumps(payload))
+        out_dir = tmp_path / "scan"
+        assert cli_main(["alpha-scan", "--config", str(config_path), "--out", str(out_dir)]) == 1
+        assert f"{config_path}: n_qubits_list: n_qubits" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -29,6 +29,9 @@ from noisescramble import (
     white_noise_distance_identity,
 )
 
+from noisescramble.metrics import _report
+from noisescramble.simulator import _evolve
+
 from .conftest import random_density_matrix, random_statevector, random_traceless_hermitian
 from .oracles import commutator_trace_norm
 
@@ -527,6 +530,32 @@ class TestSpectralReport:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 16 * 4**9, peak / (16 * 4**9)
+
+    def test_row_report_allocates_under_a_tenth_of_a_matrix(self):
+        # the row path's report overwrites rho with rho - rho_wn a row block
+        # at a time, so it needs no working matrix of its own
+        program = build_sel_circuit(9, 2, seed=0).with_noise(1e-3)
+        psi = run_ideal(program, basis_statevector(9))
+        _report(_evolve(program), psi, None)  # warm-up
+        work = _evolve(program)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _report(work, psi, None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 16 * 4**9, peak / (16 * 4**9)
+
+    def test_inputs_left_unchanged(self):
+        # n=7: rho - rho_wn takes two row blocks, built in the report's copy
+        rho, psi = noisy_sel_state(0, n_qubits=7, layers=2, eps=1e-3)
+        raw = np.array(rho.data)
+        raw_before, rho_before = raw.tobytes(), rho.data.tobytes()
+        reports = compute_spectral_report(raw, psi), compute_spectral_report(rho, psi)
+        assert raw.flags.writeable and not rho.data.flags.writeable
+        assert raw.tobytes() == raw_before and rho.data.tobytes() == rho_before
+        assert reports[0] == reports[1]
 
     def test_fidelity_law_small_error_rates(self):
         # for moderate total error the no-error weight dominates fidelity
