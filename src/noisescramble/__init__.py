@@ -26,7 +26,6 @@ from .errors import (
     InvalidSizeError,
     InvalidStateError,
     NoiseScrambleError,
-    NumericalRankError,
     PoleError,
     ResourceError,
     ShapeError,

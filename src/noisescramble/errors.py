@@ -45,10 +45,6 @@ class AnsatzError(NoiseScrambleError):
     """An ansatz specification cannot be realised as a circuit."""
 
 
-class NumericalRankError(NoiseScrambleError):
-    """A basis completion or transform failed numerically."""
-
-
 class PoleError(NoiseScrambleError):
     """Evaluation point coincides with a pole of the secular function."""
 

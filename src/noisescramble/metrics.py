@@ -3,7 +3,11 @@
 Everything here is a pure function of (rho, psi_ideal): the
 sorted spectrum, the eigenvalue-uniformity and commutator-norm metrics,
 white-noise reference states, trace distances and bias bounds, and the
-arrowhead form whose secular equation reproduces the spectrum.
+arrowhead form whose secular equation reproduces the spectrum. A row's
+report reduces rho once: a reflector takes psi to e_1, LAPACK's ``zhetrd``
+takes the result to a real tridiagonal T by a unitary that fixes e_1, and
+``dsterf`` reads spec(rho) off T and spec(rho - rho_wn) off T with its
+diagonal shifted by -lambda_1 e_1 e_1^T - (1 - lambda_1)/d.
 
 Norm convention: ``trace_distance`` returns the full trace norm
 sum_k |eig_k(a - b)| without the factor 1/2. The one place a half enters
@@ -13,8 +17,11 @@ is :func:`white_noise_distance_identity`, which works with total-variation
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +30,6 @@ from .errors import (
     InvalidObservableError,
     InvalidRateError,
     InvalidStateError,
-    NumericalRankError,
     PoleError,
     ShapeError,
 )
@@ -33,8 +39,7 @@ _PURITY_TOL = 1e-12  # above 1 - this, the dominant eigenvalue counts as 1
 _CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped to 0
 # lambda_1 - F is a difference of two O(1) numbers; below this it is rounding
 _GAP_FLOOR = 1e2 * np.finfo(float).eps
-# entries per row block (64 KiB) of the report's in-place rho - rho_wn; the
-# broadcast product of a block takes two more buffers of its size
+# entries per row block (64 KiB) of the in-place reflection, which takes two such blocks
 _BLOCK = 4096
 
 
@@ -67,7 +72,7 @@ def eigendecompose(rho, psi_id: np.ndarray | None = None) -> SpectralDecompositi
     its data is read-only. ``psi_id``, when given, is only checked to be a
     normalised vector of matching size.
     """
-    return SpectralDecomposition(eigenvalues=_spectrum(_checked_matrix(rho, psi_id)))
+    return SpectralDecomposition(_spectrum(np.linalg.eigvalsh(_checked_matrix(rho, psi_id))))
 
 
 def _checked_matrix(rho, psi_id: np.ndarray | None = None) -> np.ndarray:
@@ -82,8 +87,7 @@ def _checked_matrix(rho, psi_id: np.ndarray | None = None) -> np.ndarray:
     return mat
 
 
-def _spectrum(mat: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(mat)
+def _spectrum(vals: np.ndarray) -> np.ndarray:
     if vals[0] < -_CLAMP_TOL:
         raise InvalidStateError(f"eigenvalue {vals[0]:.3e} below -{_CLAMP_TOL:.0e}")
     vals = np.clip(vals[::-1], 0.0, None)
@@ -197,33 +201,26 @@ class ArrowheadForm:
 def arrowhead_transform(rho, psi_id: np.ndarray) -> ArrowheadForm:
     """Rotate rho into its non-negative arrowhead form around the ideal state.
 
-    The first basis vector is the ideal state; the orthogonal complement
+    The first basis vector is the ideal state and the rest come from the
+    Householder reflector that takes it to e_1; the orthogonal complement
     is rotated into the eigenbasis of the complementary block and phases
     are absorbed so the border entries come out real and non-negative.
     """
-    mat = _as_matrix(rho)
-    d = mat.shape[0]
-    psi = _check_vector(psi_id, d)
-    seed = np.eye(d, dtype=complex)
-    seed[:, 0] = psi
-    basis = np.linalg.qr(seed)[0]
-    basis[:, 0] *= np.vdot(basis[:, 0], psi)  # undo QR's phase on the first column
-    residual = np.abs(basis.conj().T @ basis - np.eye(d)).max()
-    if residual > 1e-10:
-        raise NumericalRankError(f"completed basis not orthonormal, residual {residual:.3e}")
-    rotated = basis.conj().T @ mat @ basis
+    rotated = np.array(_as_matrix(rho))
+    v = _reflect(rotated, _check_vector(psi_id, rotated.shape[0]))
+    phase = -v[0] / abs(v[0])  # H0 psi = phase e_1, undone on the first column
     corner = float(rotated[0, 0].real)
     block_vals, block_vecs = np.linalg.eigh(rotated[1:, 1:])
     order = np.argsort(-block_vals, kind="stable")
     block_vals = block_vals[order]
     block_vecs = block_vecs[:, order]
-    border = block_vecs.conj().T @ rotated[1:, 0]
+    border = block_vecs.conj().T @ rotated[1:, 0] * phase
     magnitudes = np.abs(border)
     phases = np.where(magnitudes > 1e-15, border / np.where(magnitudes > 1e-15, magnitudes, 1.0), 1.0)
-    transform = np.zeros((d, d), dtype=complex)
-    transform[0, 0] = 1.0
+    transform = np.zeros_like(rotated)
+    transform[0, 0] = np.conj(phase)
     transform[1:, 1:] = block_vecs.conj().T * np.conj(phases)[:, None]
-    transform = transform @ basis.conj().T
+    transform -= 2.0 * np.outer(transform @ v, v.conj())  # transform @ H0
     return ArrowheadForm(
         corner=max(corner, 0.0),
         offdiag=magnitudes,
@@ -343,29 +340,87 @@ def compute_spectral_report(
     rho, psi_id: np.ndarray, eta_estimate: float | None = None
 ) -> SpectralReport:
     """Assemble the full metric set for one simulated state; rho is copied, never written."""
-    return _report(np.array(_checked_matrix(rho)), psi_id, eta_estimate)
+    return _report(np.array(_checked_matrix(rho), order="C"), psi_id, eta_estimate)
+
+
+def _reflect(work: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Overwrite Hermitian ``work`` with H0 work H0, a row block at a time,
+    where H0 = 1 - 2 v v^dagger maps psi to a unit multiple of e_1; returns v."""
+    v = np.array(psi, dtype=complex)
+    v[0] += np.exp(1j * np.angle(psi[0]))  # psi[0]'s phase: no cancellation
+    v /= np.linalg.norm(v)
+    w = work @ v
+    y = 2.0 * (w - np.vdot(v, w).real * v)
+    v_bra, y_bra, rows = v.conj(), y.conj(), max(1, _BLOCK // v.size)
+    for start in range(0, v.size, rows):
+        block = np.outer(v[start : start + rows], y_bra)
+        block += np.outer(y[start : start + rows], v_bra)
+        work[start : start + rows] -= block
+    return v
+
+
+@functools.cache
+def _lapack() -> tuple | None:
+    """``zhetrd`` and ``dsterf`` from numpy's own OpenBLAS handle (its thread settings hold)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in (ctypes.CDLL(str(path)) for path in sorted(libs.glob("libscipy_openblas64_*.so"))):
+        if hasattr(lib, "scipy_zhetrd_64_") and hasattr(lib, "scipy_dsterf_64_"):
+            break
+    else:
+        return None
+    zhetrd, dsterf, int64 = lib.scipy_zhetrd_64_, lib.scipy_dsterf_64_, ctypes.POINTER(ctypes.c_int64)
+    real, cplx = (np.ctypeslib.ndpointer(dtype, flags="C,W") for dtype in (float, complex))
+    # UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO, then UPLO's hidden length
+    zhetrd.argtypes = [ctypes.c_char_p, int64, cplx, int64, real, real, cplx, cplx, int64, int64,
+                       ctypes.c_size_t]
+    dsterf.argtypes = [int64, real, real, int64]  # N, D, E, INFO
+    zhetrd.restype = dsterf.restype = None
+    return zhetrd, dsterf
+
+
+def _reduce(work: np.ndarray):
+    """T's diagonal (writable) and a function giving T's ascending spectrum by ``dsterf``,
+    for the real tridiagonal T that ``zhetrd`` makes in place of C-ordered work, which
+    LAPACK reads as conj(work); without the binding, T is work and the function ``eigvalsh``."""
+    if _lapack() is None:
+        return work.reshape(-1)[:: work.shape[0] + 1], lambda: np.linalg.eigvalsh(work.T)
+    (zhetrd, dsterf), ref = _lapack(), ctypes.byref
+    n, info, size = ctypes.c_int64(work.shape[0]), ctypes.c_int64(0), np.empty(1, complex)
+    diag, off, tau = np.empty(n.value), np.empty(n.value), np.empty(n.value, complex)
+    args = b"L", ref(n), work, ref(n), diag, off, tau
+    zhetrd(*args, size, ref(ctypes.c_int64(-1)), ref(info), 1)  # workspace query: about 32 d
+    buf = np.empty(int(size[0].real), complex)
+    zhetrd(*args, buf, ref(ctypes.c_int64(buf.size)), ref(info), 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"zhetrd rejected its argument {-info.value}")
+
+    def spectrum() -> np.ndarray:  # dsterf overwrites both inputs
+        vals, sub = diag.copy(), off.copy()
+        dsterf(ref(n), vals, sub, ref(info))
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return vals
+
+    return diag, spectrum
 
 
 def _report(work: np.ndarray, psi_id: np.ndarray, eta_estimate: float | None) -> SpectralReport:
-    """The report of a checked density matrix, overwritten with rho - rho_wn
-    once its spectrum, F and variance are taken; a sweep row passes its own."""
+    """The report of a checked density matrix, which it overwrites (a sweep row passes its
+    own): F and the variance, then both spectra from one reduction of H0 rho H0."""
     d = work.shape[0]
     psi = _check_vector(psi_id, d)
-    eigenvalues = _spectrum(work)
-    lam1 = float(eigenvalues[0])
     f = fidelity(work, psi)
     commutator_abs = 2.0 * math.sqrt(variance(work, psi))
+    _reflect(work, psi)
+    diag, spectrum = _reduce(work)
+    eigenvalues = _spectrum(spectrum())
+    lam1 = float(eigenvalues[0])
     degenerate = lam1 >= 1.0 - _PURITY_TOL
     uniformity = None if degenerate else eigenvalue_uniformity(eigenvalues)
     commutator_rel = None if degenerate else commutator_abs / (1.0 - lam1)
-    # rho - rho_wn in row blocks, each entry rounded as rho - rho_wn rounds
-    bra, rows = psi.conj(), max(1, _BLOCK // d)
-    for start in range(0, d, rows):
-        block = np.outer(psi[start : start + rows], bra)
-        block *= -lam1
-        block.reshape(-1)[start :: d + 1] -= (1.0 - lam1) / d
-        work[start : start + rows] += block
-    dist_wn = float(np.abs(np.linalg.eigvalsh(work)).sum())
+    diag -= (1.0 - lam1) / d  # T becomes the reduced rho - rho_wn
+    diag[0] -= lam1
+    dist_wn = float(np.abs(spectrum()).sum())
     error_overlap = None
     if eta_estimate is not None and eta_estimate < 1.0 - 1e-15:
         error_overlap = (f - eta_estimate) / (1.0 - eta_estimate)

@@ -21,8 +21,8 @@ exponential on more qubits and its noise are one op that pairs
 coefficients, never a dense 4^k map. The state enters the Pauli basis
 once, directly as |0...0><0...0| by default, and leaves it once, as an
 exactly Hermitian d x d matrix; memory peaks at two complex d x d
-buffers, in that last conversion. A sweep row's report then builds
-rho - rho_wn in rho's buffer, so it peaks at rho plus LAPACK's copy.
+buffers, in that last conversion. A sweep row's report then reduces rho in
+its own buffer, with no LAPACK copy.
 ``run_ideal`` walks a state vector by cached register tables, with no gate
 matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi =
 factor * sign * psi[source], or one coefficient per entry times psi for a

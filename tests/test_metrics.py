@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from noisescramble import (
     white_noise_distance_identity,
 )
 
-from noisescramble.metrics import _report
+from noisescramble import metrics
+from noisescramble.metrics import _reduce, _reflect, _report
 from noisescramble.simulator import _evolve
 
 from .conftest import random_density_matrix, random_statevector, random_traceless_hermitian
@@ -568,3 +570,58 @@ class TestSpectralReport:
             xi = 0.002 * prog.gate_count
             deviations.append(fidelity(rho, psi) - np.exp(-xi))
         assert abs(np.mean(deviations)) <= 0.02
+
+
+class TestOneReduction:
+    """The row report reduces rho once with LAPACK's zhetrd and reads both spectra off T."""
+
+    def test_binding_matches_eigvalsh_bit_for_bit(self, rng):
+        # pins the binding to the LAPACK numpy itself runs: eigvalsh is
+        # zheevd, which for values alone is zhetrd then dsterf
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        if not list(libs.glob("libscipy_openblas64_*")):
+            pytest.skip("numpy.libs holds no scipy_openblas64 library, so the report falls back")
+        assert metrics._lapack() is not None
+        for n in range(2, 11):
+            h = random_traceless_hermitian(rng, 2**n)
+            expected = np.linalg.eigvalsh(h)
+            _, spectrum = _reduce(np.array(h))
+            assert np.array_equal(spectrum(), expected), n
+            assert np.array_equal(spectrum(), expected), n  # the spectrum leaves T as it was
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-8])
+    def test_binding_and_fallback_agree_with_the_independent_route(self, monkeypatch, eps):
+        rho, psi = noisy_sel_state(0, n_qubits=6, layers=4, eps=eps)
+        fast = compute_spectral_report(rho, psi)
+        monkeypatch.setattr(metrics, "_lapack", lambda: None)
+        slow = compute_spectral_report(rho, psi)
+        lam = np.linalg.eigvalsh(rho.data)[::-1]
+        dist_wn = trace_distance(rho, build_white_noise_state(psi, fast.lambda1).data)
+        for report in (slow, fast):
+            for field in ("uniformity", "commutator_rel", "lambda1"):
+                assert getattr(report, field) == pytest.approx(getattr(fast, field), rel=1e-12)
+            assert report.trace_dist_wn == pytest.approx(fast.trace_dist_wn, abs=1e-14)
+            assert report.lambda1 == pytest.approx(lam[0], rel=1e-12)
+            # at eps 1e-8, W is built from eigenvalues a million times below lambda_1
+            assert report.uniformity == pytest.approx(eigenvalue_uniformity(lam), rel=1e-10)
+            assert report.trace_dist_wn == pytest.approx(dist_wn, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["e1", "minus-i-e1", "zero-first-entry", "random"])
+    def test_reflector_maps_psi_to_e1(self, rng, kind):
+        d = 64
+        psi = random_statevector(rng, d)
+        if kind == "e1":
+            psi = np.eye(d, dtype=complex)[0]
+        elif kind == "minus-i-e1":
+            psi = -1j * np.eye(d, dtype=complex)[0]
+        elif kind == "zero-first-entry":
+            psi[0] = 0.0
+            psi /= np.linalg.norm(psi)
+        work = np.outer(psi, psi.conj())
+        v = _reflect(work, psi)
+        image = psi - 2.0 * v * np.vdot(v, psi)
+        assert np.abs(image[1:]).max() <= 1e-15
+        assert abs(abs(image[0]) - 1.0) <= 1e-15
+        e1 = np.zeros((d, d))
+        e1[0, 0] = 1.0
+        assert np.abs(work - e1).max() <= 1e-15
