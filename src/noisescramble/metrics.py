@@ -5,7 +5,8 @@ sorted spectrum, the eigenvalue-uniformity and commutator-norm metrics,
 white-noise reference states, trace distances and bias bounds, and the
 arrowhead form whose secular equation reproduces the spectrum. A row's
 report reduces rho once: a reflector takes psi to e_1, LAPACK's ``zhetrd``
-takes the result to a real tridiagonal T by a unitary that fixes e_1, and
+(d < 1024) or ``zhetrd_2stage`` (d >= 1024) takes the result to a real
+tridiagonal T by a unitary that fixes e_1, and
 ``dsterf`` reads spec(rho) off T and spec(rho - rho_wn) off T with its
 diagonal shifted by -lambda_1 e_1 e_1^T - (1 - lambda_1)/d.
 
@@ -41,6 +42,9 @@ _CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped t
 _GAP_FLOOR = 1e2 * np.finfo(float).eps
 # entries per row block (64 KiB) of the in-place reflection, which takes two such blocks
 _BLOCK = 4096
+# from this d the report reduces with zhetrd_2stage: faster from n = 9 and, from n = 10, its
+# workspace (about 65.5 d entries plus HOUS2) is under a tenth of rho; zhetrd below
+_TWO_STAGE = 1024
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -361,38 +365,53 @@ def _reflect(work: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _lapack() -> tuple | None:
-    """``zhetrd`` and ``dsterf`` from numpy's own OpenBLAS handle (its thread settings hold)."""
+    """``zhetrd``, ``zhetrd_2stage`` and ``dsterf`` from numpy's own OpenBLAS handle (its thread
+    settings hold), or None where that library lacks any of the three."""
+    names = ("scipy_zhetrd_64_", "scipy_zhetrd_2stage_64_", "scipy_dsterf_64_")
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in (ctypes.CDLL(str(path)) for path in sorted(libs.glob("libscipy_openblas64_*.so"))):
-        if hasattr(lib, "scipy_zhetrd_64_") and hasattr(lib, "scipy_dsterf_64_"):
+        if all(hasattr(lib, name) for name in names):
             break
     else:
         return None
-    zhetrd, dsterf, int64 = lib.scipy_zhetrd_64_, lib.scipy_dsterf_64_, ctypes.POINTER(ctypes.c_int64)
+    zhetrd, two_stage, dsterf = (getattr(lib, name) for name in names)
+    int64 = ctypes.POINTER(ctypes.c_int64)
     real, cplx = (np.ctypeslib.ndpointer(dtype, flags="C,W") for dtype in (float, complex))
+    char, length, matrix = ctypes.c_char_p, ctypes.c_size_t, [int64, cplx, int64, real, real, cplx]
     # UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO, then UPLO's hidden length
-    zhetrd.argtypes = [ctypes.c_char_p, int64, cplx, int64, real, real, cplx, cplx, int64, int64,
-                       ctypes.c_size_t]
+    zhetrd.argtypes = [char, *matrix, cplx, int64, int64, length]
+    # VECT, UPLO, N, A, LDA, D, E, TAU, HOUS2, LHOUS2, WORK, LWORK, INFO, then two hidden lengths
+    two_stage.argtypes = [char, char, *matrix, cplx, int64, cplx, int64, int64, length, length]
     dsterf.argtypes = [int64, real, real, int64]  # N, D, E, INFO
-    zhetrd.restype = dsterf.restype = None
-    return zhetrd, dsterf
+    zhetrd.restype = two_stage.restype = dsterf.restype = None
+    return zhetrd, two_stage, dsterf
 
 
 def _reduce(work: np.ndarray):
     """T's diagonal (writable) and a function giving T's ascending spectrum by ``dsterf``,
-    for the real tridiagonal T that ``zhetrd`` makes in place of C-ordered work, which
-    LAPACK reads as conj(work); without the binding, T is work and the function ``eigvalsh``."""
+    for the real tridiagonal T made in place of C-ordered work, which LAPACK reads as
+    conj(work): by ``zhetrd`` below d = _TWO_STAGE and by ``zhetrd_2stage`` (dense to band,
+    then band to tridiagonal) from there, each by a unitary that fixes e_1; without the
+    binding, T is work and the function ``eigvalsh``."""
     if _lapack() is None:
         return work.reshape(-1)[:: work.shape[0] + 1], lambda: np.linalg.eigvalsh(work.T)
-    (zhetrd, dsterf), ref = _lapack(), ctypes.byref
-    n, info, size = ctypes.c_int64(work.shape[0]), ctypes.c_int64(0), np.empty(1, complex)
+    (zhetrd, two_stage, dsterf), ref = _lapack(), ctypes.byref
+    n, info = ctypes.c_int64(work.shape[0]), ctypes.c_int64(0)
     diag, off, tau = np.empty(n.value), np.empty(n.value), np.empty(n.value, complex)
-    args = b"L", ref(n), work, ref(n), diag, off, tau
-    zhetrd(*args, size, ref(ctypes.c_int64(-1)), ref(info), 1)  # workspace query: about 32 d
-    buf = np.empty(int(size[0].real), complex)
-    zhetrd(*args, buf, ref(ctypes.c_int64(buf.size)), ref(info), 1)
-    if info.value:
-        raise np.linalg.LinAlgError(f"zhetrd rejected its argument {-info.value}")
+    args, staged = (ref(n), work, ref(n), diag, off, tau), n.value >= _TWO_STAGE
+
+    def reduce(*bufs, query=False):  # each workspace, then its length; a query sizes them
+        sized = [x for buf in bufs for x in (buf, ref(ctypes.c_int64(-1 if query else buf.size)))]
+        if staged:
+            two_stage(b"N", b"L", *args, *sized, ref(info), 1, 1)
+        else:
+            zhetrd(b"L", *args, *sized, ref(info), 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"reduction rejected its argument {-info.value}")
+
+    sizes = [np.empty(1, complex) for _ in range(1 + staged)]  # HOUS2 (two-stage), then WORK
+    reduce(*sizes, query=True)
+    reduce(*(np.empty(int(size[0].real), complex) for size in sizes))
 
     def spectrum() -> np.ndarray:  # dsterf overwrites both inputs
         vals, sub = diag.copy(), off.copy()

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from noisescramble import (
     ConfigError,
@@ -21,6 +22,7 @@ from noisescramble import (
     build_white_noise_state,
     compute_spectral_report,
     derive_seed,
+    eigenvalue_uniformity,
     load_hamiltonian_file,
     read_rows,
     run_circuit,
@@ -343,14 +345,23 @@ class TestOneEvolutionPass:
                 assert getattr(row, name) == getattr(report, name), name
             assert row.reason == report.degenerate_reason
 
-    def test_wide_white_noise_distance_matches_the_white_noise_state(self):
-        # n=10: 128 row blocks, against rho_wn built whole and subtracted
-        config = small_config(n_qubits=10, epsilons=(1e-3,), layers=(1,), seeds=(0,))
+    @pytest.mark.parametrize("eps", [1e-3, 1e-8])
+    def test_wide_white_noise_distance_matches_the_white_noise_state(self, eps):
+        # n=10, the two-stage route, against rho_wn built whole and subtracted
+        # and against scipy's spectrum of rho
+        config = small_config(n_qubits=10, epsilons=(eps,), layers=(1,), seeds=(0,))
         (row,) = run_sweep(config)
         ((_, _, program),) = _grid_programs(config)
         rho = run_circuit(program)
         white = build_white_noise_state(run_ideal(program, basis_statevector(10)), row.lambda1)
         assert row.trace_dist_wn == pytest.approx(trace_distance(rho, white.data), rel=1e-10)
+        lam = scipy.linalg.eigvalsh(rho.data)[::-1]
+        assert row.lambda1 == pytest.approx(lam[0], rel=1e-10)
+        # W sums d - 1 eigenvalues over 1 - lambda_1 (3e-7 at eps 1e-8), so a
+        # rounding of eps_mach in each moves it by up to this floor; there both
+        # reductions read W 4.5e-9 off scipy's, and rel 1e-10 holds at eps 1e-3
+        floor = 0.5 * 1024 * np.finfo(float).eps / (1.0 - row.lambda1)
+        assert row.uniformity == pytest.approx(eigenvalue_uniformity(lam), rel=1e-10, abs=floor)
 
     def test_row_path_builds_no_gate_matrix(self, monkeypatch):
         # both walks run from cached tables: rho from closed-form transfer

@@ -533,11 +533,13 @@ class TestSpectralReport:
             tracemalloc.stop()
         assert peak <= 1.25 * 16 * 4**9, peak / (16 * 4**9)
 
-    def test_row_report_allocates_under_a_tenth_of_a_matrix(self):
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_row_report_allocates_under_a_tenth_of_a_matrix(self, n):
         # the row path's report overwrites rho with rho - rho_wn a row block
-        # at a time, so it needs no working matrix of its own
-        program = build_sel_circuit(9, 2, seed=0).with_noise(1e-3)
-        psi = run_ideal(program, basis_statevector(9))
+        # at a time, so it needs no working matrix of its own; at n=10 the
+        # two-stage reduction's workspace is held to the same bound
+        program = build_sel_circuit(n, 2, seed=0).with_noise(1e-3)
+        psi = run_ideal(program, basis_statevector(n))
         _report(_evolve(program), psi, None)  # warm-up
         work = _evolve(program)
         tracemalloc.start()
@@ -547,7 +549,7 @@ class TestSpectralReport:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 0.1 * 16 * 4**9, peak / (16 * 4**9)
+        assert peak <= 0.1 * 16 * 4**n, peak / (16 * 4**n)
 
     def test_inputs_left_unchanged(self):
         # n=7: rho - rho_wn takes two row blocks, built in the report's copy
@@ -572,22 +574,40 @@ class TestSpectralReport:
         assert abs(np.mean(deviations)) <= 0.02
 
 
+def _require_binding():
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if not list(libs.glob("libscipy_openblas64_*")):
+        pytest.skip("numpy.libs holds no scipy_openblas64 library, so the report falls back")
+    assert metrics._lapack() is not None
+
+
 class TestOneReduction:
-    """The row report reduces rho once with LAPACK's zhetrd and reads both spectra off T."""
+    """The row report reduces rho once, with LAPACK's zhetrd below d = 1024 and
+    zhetrd_2stage from there, and reads both spectra off T."""
 
     def test_binding_matches_eigvalsh_bit_for_bit(self, rng):
-        # pins the binding to the LAPACK numpy itself runs: eigvalsh is
-        # zheevd, which for values alone is zhetrd then dsterf
-        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        if not list(libs.glob("libscipy_openblas64_*")):
-            pytest.skip("numpy.libs holds no scipy_openblas64 library, so the report falls back")
-        assert metrics._lapack() is not None
-        for n in range(2, 11):
+        # pins the one-stage route to the LAPACK numpy itself runs: eigvalsh
+        # is zheevd, which for values alone is zhetrd then dsterf
+        _require_binding()
+        for n in range(2, 10):
             h = random_traceless_hermitian(rng, 2**n)
             expected = np.linalg.eigvalsh(h)
             _, spectrum = _reduce(np.array(h))
             assert np.array_equal(spectrum(), expected), n
             assert np.array_equal(spectrum(), expected), n  # the spectrum leaves T as it was
+
+    def test_two_stage_route_from_d_1024(self):
+        # n=10, the first width on zhetrd_2stage, on the reflected state a row reduces
+        _require_binding()
+        program = build_sel_circuit(10, 2, seed=0).with_noise(1e-3)
+        work = _evolve(program)
+        _reflect(work, run_ideal(program, basis_statevector(10)))
+        top, expected = work[0, 0].real, np.linalg.eigvalsh(work)
+        diag, spectrum = _reduce(work)
+        # the reduction fixes e_1, which the report's diagonal shift relies on
+        assert diag[0] == top
+        assert np.abs(spectrum() - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(spectrum(), spectrum())
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-8])
     def test_binding_and_fallback_agree_with_the_independent_route(self, monkeypatch, eps):

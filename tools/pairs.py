@@ -7,7 +7,8 @@ Run from the root of a git checkout. Both revisions are exported with
 ``perfbench/run.py`` runs every workload once per side and pair. The
 workloads interleave, and the side that runs first alternates from pair to
 pair; every run takes seed 0 and ``BENCHMARK.json``'s ``run_seconds``. The
-JSON written holds the machine, every run's end-to-end metrics, and per
+JSON written holds the machine (with ``PYTHONDONTWRITEBYTECODE`` as the runs
+inherit it), every run's end-to-end metrics, and per
 workload and metric the per-pair values, both sides' quartiles, the wins
 and the verdict of ``verdict``; every end-to-end metric in ``BENCHMARK.json``
 is lower-is-better.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -131,7 +133,8 @@ def main(argv=None) -> int:
         "method": (f"tools/pairs.py: {args.pairs} pairs per workload, {seconds} s runs, "
                    "seed 0; workloads interleaved, first side alternating"),
         "revisions": {"parent": args.parent, "change": args.change},
-        "machine": machine,
+        # when set, each worker compiles the package at import, which peak_rss_mb shows
+        "machine": {**machine, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "all_correct": all(r["correct"] for r in runs),
         "summary": summary,
         "runs": runs,
