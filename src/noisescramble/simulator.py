@@ -20,9 +20,10 @@ disjoint qubits, so it changes results by rounding alone. A Pauli
 exponential on more qubits and its noise are one op that pairs
 coefficients, never a dense 4^k map. The state enters the Pauli basis
 once, directly as |0...0><0...0| by default, and leaves it once, as an
-exactly Hermitian d x d matrix; memory peaks at two complex d x d
-buffers, in that last conversion. A sweep row's report then reduces rho in
-its own buffer, with no LAPACK copy.
+exactly Hermitian d x d matrix. The state and the kernel's spare buffer
+are the two real halves of that matrix's complex buffer, and the way out
+works inside it, so memory peaks at one d x d buffer and an eighth. A
+sweep row's report then reduces rho in the same buffer.
 ``run_ideal`` walks a state vector by cached register tables, with no gate
 matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi =
 factor * sign * psi[source], or one coefficient per entry times psi for a
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -344,10 +346,6 @@ def _axis_orders(axes: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tup
 # times Pauli a ^ b.
 _PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
 _ID_MAP = np.eye(4)
-# Per qubit, from rho's 2 x 2 block, flattened as 2 * row + column, to (I, X, Y, Z).
-_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
-_FROM_PAULI = 0.5 * _TO_PAULI.conj().T
-_ZERO_STATE = np.array([1.0, 0.0, 0.0, 1.0])  # |0><0| = (I + Z) / 2
 # H = X Ry(pi/2) and CNOT = exp(-i pi/4 Z_c) exp(-i pi/4 X_t) exp(i pi/4 Z_c X_t),
 # up to global phases, as Pauli rotations exp(-i phi P / 2), the first
 # applied last, each given as (P, (1, cos phi, sin phi)); their product is
@@ -451,22 +449,35 @@ class _Op:
         self.qubits = qubits
         self.matrix = matrix
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
+    def apply(self, state: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+        """The op on C-contiguous ``state``, written to and returned in ``spare``,
+        an array of its shape; both are overwritten. Without ``spare`` the state
+        is copied and the result is new. A non-adjacent op copies the state with
+        its axes in front into spare, acts from there into the state's memory
+        and copies the result back in qubit order."""
+        if spare is None:
+            state, spare = state.copy(), np.empty_like(state)
         k, first = len(self.qubits), self.qubits[0]
         if self.qubits == tuple(range(first, first + k)):  # adjacent: no transpose
-            inverse, moved = None, state.reshape(4**first, 4**k, -1)
+            source, target = state.reshape(4**first, 4**k, -1), spare
         else:
             order, inverse = _axis_orders(self.qubits, state.ndim)
-            moved = state.transpose(order).reshape(1, 4**k, -1)
+            np.copyto(spare, state.transpose(order))
+            source, target = spare.reshape(1, 4**k, -1), state
+        out = target.reshape(source.shape)
         if k > 2:
             diagonal, off, partner = self.matrix
-            out = diagonal[:, None] * moved + off[:, None] * moved[:, partner]
-        elif moved.shape[2] == 1:  # the last qubits: one matmul beats a broadcast one
-            out = moved.reshape(-1, 4**k) @ self.matrix.T
+            np.take(source, partner, axis=1, out=out, mode="wrap")  # "raise" would buffer out
+            out *= off[:, None]
+            source *= diagonal[:, None]
+            out += source
+        elif source.shape[2] == 1:  # the last qubits: one matmul beats a broadcast one
+            np.matmul(source.reshape(-1, 4**k), self.matrix.T, out=out.reshape(-1, 4**k))
         else:
-            out = np.matmul(self.matrix, moved)
-        out = out.reshape(state.shape)
-        return out if inverse is None else out.transpose(inverse)
+            np.matmul(self.matrix, source, out=out)
+        if target is state:
+            np.copyto(spare, state.transpose(inverse))
+        return spare
 
 
 def _fused_ops(program: CircuitProgram):
@@ -510,52 +521,110 @@ def _fused_ops(program: CircuitProgram):
     yield from (_Op((q,), matrix) for q, matrix in waiting.items())
 
 
-def _per_qubit(x: np.ndarray, mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``mat`` applied on every qubit's axis of 4, two qubits per pass; each
-    pass moves the leading qubits last, so the axes end in their first order.
-    The passes write x, as a C-contiguous complex array (in place if it is
-    one), and one more buffer in turn; returns the result and that buffer."""
-    x = np.ascontiguousarray(x, dtype=complex)
-    free = np.empty_like(x)
-    for m in [np.kron(mat, mat)] * (n // 2) + [mat] * (n % 2):
-        np.matmul(x.reshape(len(m), -1).T, m.T, out=free.reshape(-1, len(m)))
-        x, free = free, x
-    return x, free
+_BLOCK = 1 << 14  # floats per block of the conversions: 128 KB, in cache and small next to rho
+
+
+@functools.lru_cache(maxsize=16)
+def _conversion_tables(n: int) -> tuple:
+    """Read-only tables on n qubits: over j < 2^n, j, j with bit b moved to bit
+    2b and (-i)^(ones in j); then (first row bit, H^(x)k) per pass of k <= 4."""
+    spread = functools.reduce(np.add.outer, [(0, 4**b) for b in range(n - 1, -1, -1)], 0).ravel()
+    phase = functools.reduce(np.multiply.outer, [(1, -1j)] * n, 1).ravel()
+    passes = [
+        (g[0], functools.reduce(np.kron, [[[1, 1], [1, -1]]] * len(g), np.ones((1, 1))))
+        for g in np.array_split(range(n), -(-n // 4))
+    ]
+    for table in (j := np.arange(2**n), spread, phase, *dict(passes).values()):
+        table.setflags(write=False)
+    return j, spread, phase, passes
+
+
+def _row_blocks(start: int, stop: int, d: int) -> list[slice]:
+    """Rows start..stop of a d x d complex matrix in blocks of _BLOCK floats."""
+    step = max(1, _BLOCK // (2 * d))
+    return [slice(r, min(r + step, stop)) for r in range(start, stop, step)]
+
+
+def _hadamard_rows(rho: np.ndarray, passes) -> None:
+    """rho's real and imaginary parts times H^(x)n from the left, unnormalised,
+    in place: per pass, one batched matmul per cache-sized block of rows that
+    differ only in the pass's bits. BLAS sums an entry's terms in one order,
+    so inputs that differ by signs give outputs that do."""
+    for first, h in passes:
+        blocks = rho.view(float).reshape(2**first, len(h), -1)
+        count, length = blocks.shape[::2]
+        width = min(_BLOCK // len(h), length)
+        batch = min(count, _BLOCK // (len(h) * width))
+        out = np.empty((batch, len(h), width))
+        for b, c in itertools.product(range(0, count, batch), range(0, length, width)):
+            np.matmul(h, blocks[b : b + batch, :, c : c + width], out=out)
+            blocks[b : b + batch, :, c : c + width] = out
 
 
 def _to_pauli(initial: DensityMatrix) -> np.ndarray:
-    """The Pauli coefficients of a density matrix, one axis of 4 per qubit."""
-    n, data = initial.n_qubits, initial.data
-    pairs = data.reshape((2,) * (2 * n)).transpose([q + n * j for q in range(n) for j in (0, 1)])
-    return _per_qubit(pairs.copy(), _TO_PAULI, n)[0].real.reshape((4,) * n)
+    """The Pauli coefficients of a density matrix, one axis of 4 per qubit:
+    ``_from_pauli`` backwards, in a copy of the matrix."""
+    n, d = initial.n_qubits, 2**initial.n_qubits
+    j, spread, phase, passes = _conversion_tables(n)
+    work, x = np.take_along_axis(initial.data, j ^ j[:, None], axis=1), np.empty(4**n)
+    _hadamard_rows(work, passes)
+    for rows in _row_blocks(0, d, d):
+        x[3 * spread[rows, None] ^ spread] = (work[rows] * phase[j[rows, None] & j].conj()).real
+    return x.reshape((4,) * n)
 
 
-def _from_pauli(x: np.ndarray, n: int) -> np.ndarray:
-    """The d x d density matrix with Pauli coefficients x, built in x (if it
-    is C-contiguous and complex) and one more buffer. It is exactly
-    Hermitian: an entry and its mirror add the same terms, scaled by
-    conjugate factors (0, or a power of two times +-1 or +-i), which round
-    alike."""
-    x, free = _per_qubit(x, _FROM_PAULI, n)
-    pairs = x.reshape((2,) * (2 * n)).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    np.copyto(free.reshape(pairs.shape), pairs)
-    return free.reshape(2**n, 2**n)
+def _from_pauli(x: np.ndarray, n: int, rho: np.ndarray | None = None) -> np.ndarray:
+    """The d x d density matrix sum_P c_P P / d for Pauli coefficients x, built
+    in ``rho`` (new if None), which may hold x in either real half.
+
+    Entry (r, c) is worked on at (r, c ^ r), where the matrix is H^(x)n times
+    V, V[s, t] = c_P (-i)^|s & t| / d for the P with letter 2 s_q + (s_q ^ t_q)
+    of I, X, Y, Z on qubit q. A complex entry takes two floats, so V fills the
+    half of rho without x, then the quarter with no source left, then the
+    rest from copies of its sources (an eighth of rho). rho is exactly
+    Hermitian: rho[r, c] and rho[c, r] sit at (c ^ t, t) and (c, t) for
+    t = c ^ r, and row c ^ t of H^(x)n V[:, t] is row c of H^(x)n conj(V[:, t]),
+    as (-1)^|s & t| V[s, t] = conj(V[s, t])."""
+    d = 2**n
+    rho = np.empty((d, d), dtype=complex) if rho is None else rho
+    halves = rho.view(float).reshape(2, -1)
+    if not np.may_share_memory(x, rho):
+        halves[0] = x.reshape(-1)
+    h, cut = int(np.may_share_memory(x, halves[1])), d // 2 - d // 4
+    j, spread, phase, passes = _conversion_tables(n)
+    phase = phase / d
+    direct = _row_blocks(0, d - cut, d) if h else _row_blocks(cut, d, d)[::-1]
+    last = _row_blocks(d - cut, d, d) if h else _row_blocks(0, cut, d)
+    copies = [halves[h].take(3 * spread[rows, None] ^ spread) for rows in last]  # own sources
+    for rows, values in zip(direct + last, [None] * len(direct) + copies):
+        values = halves[h].take(3 * spread[rows, None] ^ spread) if values is None else values
+        np.multiply(values, phase[j[rows, None] & j], out=rho[rows])
+    del copies, values
+    _hadamard_rows(rho, passes)
+    blocks = _row_blocks(0, d, d)
+    flat = d * j[: blocks[0].stop, None] + (j ^ j[: blocks[0].stop, None])  # (i, c ^ i) in a block
+    for rows in blocks:  # each starts at a multiple of its height, so c ^ i ^ start = c ^ r
+        rho[rows] = rho[rows].reshape(-1).take(flat ^ rows.start)
+    return rho
 
 
 def _evolve(program: CircuitProgram, initial: DensityMatrix | None = None) -> np.ndarray:
     """``run_circuit``'s state as a fresh, writable and unchecked d x d buffer
-    that nothing else holds; memory peaks at ``_from_pauli``'s two buffers."""
+    that nothing else holds; its real halves hold the Pauli state and the
+    kernel's spare buffer in turn."""
     n = program.n_qubits
-    if initial is None:
-        x = functools.reduce(np.multiply.outer, [_ZERO_STATE] * n, 1.0)
-    elif initial.n_qubits != n:
+    if initial is not None and initial.n_qubits != n:
         raise ShapeError(f"program has {n} qubits, state has {initial.n_qubits}")
-    else:
-        x = _to_pauli(initial)
+    start = None if initial is None else _to_pauli(initial)
+    rho = np.empty((2**n, 2**n), dtype=complex)
+    x, spare = rho.view(float).reshape(2, *(4,) * n)
+    x[...] = 0.0 if start is None else start
+    if start is None:  # |0...0><0...0|: c_P = 1 for P in {I, Z}^n
+        x[(slice(None, None, 3),) * n] = 1.0
+    del start
     for op in _fused_ops(program):
-        x = op.apply(x)
-    x = np.ascontiguousarray(x, dtype=complex)  # frees the real state for the second buffer
-    return _from_pauli(x, n)  # the spent buffer goes with this frame
+        x, spare = op.apply(x, spare), x
+    return _from_pauli(x, n, rho)
 
 
 def run_circuit(program: CircuitProgram, initial: DensityMatrix | None = None) -> DensityMatrix:
@@ -567,8 +636,8 @@ def run_circuit(program: CircuitProgram, initial: DensityMatrix | None = None) -
     exactly 1 - eps. With a zero error rate the output is the ideal
     (generally pure) state. The gates are applied as fused ops (see
     ``_fused_ops``), which changes the result only by rounding. The default
-    start needs no d x d matrix; memory peaks at ``_from_pauli``'s two buffers.
-    The result keeps one of them, read-only; a sweep row takes it writable.
+    start needs no d x d matrix, and memory peaks at the result's buffer and
+    an eighth. The result keeps it read-only; a sweep row takes it writable.
     """
     rho = _evolve(program, initial)
     rho.flags.writeable = False  # the only reference: DensityMatrix keeps it uncopied

@@ -126,3 +126,14 @@ def commutator_trace_norm(rho, psi):
     rho = np.asarray(getattr(rho, "data", rho), dtype=complex)
     half = np.outer(psi, np.conj(psi)) @ rho
     return float(np.abs(np.linalg.eigvalsh(1j * (half - half.conj().T))).sum())
+
+
+def exact_eigenvalues(matrix, digits=20):
+    """The eigenvalues of a Hermitian matrix of doubles in descending order,
+    computed in ``digits``-digit arithmetic and then rounded: a double-precision
+    eigensolver is off by about eps_mach * ||matrix|| in each of them."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        values = mpmath.eighe(mpmath.matrix(np.asarray(matrix).tolist()), eigvals_only=True)
+    return np.sort([float(v) for v in values])[::-1]

@@ -415,6 +415,61 @@ class TestDefaultStartState:
             tracemalloc.stop()
         assert peak <= 2.1 * 16 * 4**9, peak / (16 * 4**9)
 
+    @pytest.mark.parametrize("n_qubits", [9, 10])
+    def test_peak_memory_is_one_matrix_and_a_quarter(self, n_qubits):
+        # the Pauli state and the kernel's spare buffer are the two real
+        # halves of the output, and the conversion back works inside it
+        program = build_sel_circuit(n_qubits, 2, seed=0).with_noise(1e-3)
+        run_circuit(program)  # warm-up: cached maps and tables
+        tracemalloc.start()
+        try:
+            run_circuit(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * 16 * 4**n_qubits, peak / (16 * 4**n_qubits)
+
+
+class TestPauliConversion:
+    """_from_pauli builds sum_P c_P P / d inside one d x d buffer, and
+    _to_pauli takes it back; n = 1 is the width where the last fill is one row."""
+
+    @staticmethod
+    def _coefficients(rng, n):
+        x = rng.uniform(-1, 1, (4,) * n)
+        x.reshape(-1)[0] = 1.0
+        return x
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_pauli_kronecker_products(self, rng, n):
+        x = self._coefficients(rng, n)
+        expected = sum(
+            c * embed({q: PAULI[p] for q, p in enumerate(letters) if p != "I"}, n)
+            for c, letters in zip(x.reshape(-1), itertools.product("IXYZ", repeat=n))
+        ) / 2**n
+        assert np.abs(_from_pauli(x, n) - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_exactly_hermitian_with_unit_trace(self, rng, n):
+        rho = _from_pauli(self._coefficients(rng, n), n)
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_round_trip(self, rng, n):
+        x = self._coefficients(rng, n)
+        back = _to_pauli(DensityMatrix(n, _from_pauli(x, n)))
+        assert back.shape == x.shape and np.abs(back - x).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_either_half_of_the_buffer_may_hold_the_coefficients(self, rng, n):
+        x = self._coefficients(rng, n)
+        expected = _from_pauli(x, n)
+        for half in range(2):
+            rho = np.empty((2**n, 2**n), dtype=complex)
+            rho.view(float).reshape(2, -1)[half] = x.reshape(-1)
+            assert np.array_equal(_from_pauli(rho.view(float).reshape(2, -1)[half], n, rho), expected)
+
 
 class TestRunIdeal:
     def test_empty_program_identity(self):
