@@ -317,9 +317,9 @@ def _check_density(data: np.ndarray) -> None:
 
 
 def _check_hermitian(data: np.ndarray, tol: float) -> None:
-    """Raise unless |data - data^dagger| <= tol entrywise (NaN fails), 64 rows at a time."""
-    rows = range(0, data.shape[0], 64)
-    drift = np.max([np.abs(data[i : i + 64] - data[:, i : i + 64].T.conj()).max() for i in rows])
+    """Raise unless |data - data^dagger| <= tol entrywise (NaN fails), by row blocks."""
+    blocks = _row_blocks(0, len(data), len(data))
+    drift = np.max([np.abs(data[rows] - data[:, rows].T.conj()).max() for rows in blocks])
     if not drift <= tol:
         raise InvalidStateError(f"matrix is not Hermitian within {tol:.0e}")
 
@@ -521,7 +521,7 @@ def _fused_ops(program: CircuitProgram):
     yield from (_Op((q,), matrix) for q, matrix in waiting.items())
 
 
-_BLOCK = 1 << 14  # floats per block of the conversions: 128 KB, in cache and small next to rho
+_BLOCK = 1 << 14  # floats per block of the conversions and checks: 128 KB, small next to rho
 
 
 @functools.lru_cache(maxsize=16)
@@ -534,7 +534,7 @@ def _conversion_tables(n: int) -> tuple:
         (g[0], functools.reduce(np.kron, [[[1, 1], [1, -1]]] * len(g), np.ones((1, 1))))
         for g in np.array_split(range(n), -(-n // 4))
     ]
-    for table in (j := np.arange(2**n), spread, phase, *dict(passes).values()):
+    for table in (j := np.arange(2**n), spread, phase, *(h for _, h in passes)):
         table.setflags(write=False)
     return j, spread, phase, passes
 
