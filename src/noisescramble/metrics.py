@@ -4,11 +4,15 @@ Everything here is a pure function of (rho, psi_ideal): the
 sorted spectrum, the eigenvalue-uniformity and commutator-norm metrics,
 white-noise reference states, trace distances and bias bounds, and the
 arrowhead form whose secular equation reproduces the spectrum. A row's
-report reduces rho once: a reflector takes psi to e_1, LAPACK's ``zhetrd``
-(d < 1024) or ``zhetrd_2stage`` (d >= 1024) takes the result to a real
-tridiagonal T by a unitary that fixes e_1, and
-``dsterf`` reads spec(rho) off T and spec(rho - rho_wn) off T with its
-diagonal shifted by -lambda_1 e_1 e_1^T - (1 - lambda_1)/d.
+report reduces rho once: a reflector takes psi to e_1, LAPACK takes the
+result to a real tridiagonal T by a unitary that fixes e_1, and ``dsterf``
+reads spec(rho) off T and spec(rho - rho_wn) off T with its diagonal shifted
+by -lambda_1 e_1 e_1^T - (1 - lambda_1)/d. Below d = 1024 the reduction is
+``zhetrd``. From there it is the band route: ``zhetrd_he2hb`` takes rho to a
+band of width 32 by matrix-matrix products, in a band array of its own, and
+``zhetrd_hb2st`` chases that band to T with its workspace carved out of rho's
+spent buffer. Width 32 in place of the 16 that ``zhetrd_2stage`` takes made
+the reduction about 1.15x faster at n = 10 to 12 (``BENCH_band_width.json``).
 
 Norm convention: ``trace_distance`` returns the full trace norm
 sum_k |eig_k(a - b)| without the factor 1/2. The one place a half enters
@@ -42,9 +46,13 @@ _CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped t
 _GAP_FLOOR = 1e2 * np.finfo(float).eps
 # entries per row block (64 KiB) of the in-place reflection, which takes two such blocks
 _BLOCK = 4096
-# from this d the report reduces with zhetrd_2stage: faster from n = 9 and, from n = 10, its
-# workspace (about 65.5 d entries plus HOUS2) is under a tenth of rho; zhetrd below
+# from this d the report reduces in two stages (dense to band, band to tridiagonal): faster
+# from n = 9 and, from n = 10, stage 1's band and WORK (about 99 d entries) are under a tenth
+# of rho; zhetrd below
 _TWO_STAGE = 1024
+# the two-stage route's band width: 32 beat LAPACK's default 16 at n = 10, 11 and 12, and 64
+# would put stage 1 over a tenth of rho at n = 10
+_BAND = 32
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -137,9 +145,14 @@ def variance(rho, psi_id: np.ndarray) -> float:
     """<psi| rho^2 |psi> - F^2 as ||rho psi - F psi||^2, which does not cancel near a pure state."""
     mat = _as_matrix(rho)
     psi = _check_vector(psi_id, mat.shape[0])
-    w = mat @ psi
-    residual = w - np.vdot(psi, w).real * psi
-    return float(np.vdot(residual, residual).real)
+    return _fidelity_and_variance(mat @ psi, psi)[1]
+
+
+def _fidelity_and_variance(w: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
+    """F and the variance from w = rho psi."""
+    f = np.vdot(psi, w).real
+    residual = w - f * psi
+    return float(f), float(np.vdot(residual, residual).real)
 
 
 @dataclass
@@ -365,53 +378,73 @@ def _reflect(work: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _lapack() -> tuple | None:
-    """``zhetrd``, ``zhetrd_2stage`` and ``dsterf`` from numpy's own OpenBLAS handle (its thread
-    settings hold), or None where that library lacks any of the three."""
-    names = ("scipy_zhetrd_64_", "scipy_zhetrd_2stage_64_", "scipy_dsterf_64_")
+    """``zhetrd``, ``zhetrd_he2hb``, ``zhetrd_hb2st`` and ``dsterf`` from numpy's own OpenBLAS
+    handle (its thread settings hold), or None where that library lacks any of the four."""
+    names = ("scipy_zhetrd_64_", "scipy_zhetrd_he2hb_64_", "scipy_zhetrd_hb2st_64_", "scipy_dsterf_64_")
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in (ctypes.CDLL(str(path)) for path in sorted(libs.glob("libscipy_openblas64_*.so"))):
         if all(hasattr(lib, name) for name in names):
             break
     else:
         return None
-    zhetrd, two_stage, dsterf = (getattr(lib, name) for name in names)
+    zhetrd, to_band, to_tridiagonal, dsterf = (getattr(lib, name) for name in names)
     int64 = ctypes.POINTER(ctypes.c_int64)
     real, cplx = (np.ctypeslib.ndpointer(dtype, flags="C,W") for dtype in (float, complex))
-    char, length, matrix = ctypes.c_char_p, ctypes.c_size_t, [int64, cplx, int64, real, real, cplx]
+    char, length = ctypes.c_char_p, ctypes.c_size_t
     # UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO, then UPLO's hidden length
-    zhetrd.argtypes = [char, *matrix, cplx, int64, int64, length]
-    # VECT, UPLO, N, A, LDA, D, E, TAU, HOUS2, LHOUS2, WORK, LWORK, INFO, then two hidden lengths
-    two_stage.argtypes = [char, char, *matrix, cplx, int64, cplx, int64, int64, length, length]
+    zhetrd.argtypes = [char, int64, cplx, int64, real, real, cplx, cplx, int64, int64, length]
+    # UPLO, N, KD, A, LDA, AB, LDAB, TAU, WORK, LWORK, INFO, then UPLO's hidden length
+    to_band.argtypes = [char, int64, int64, cplx, int64, cplx, int64, cplx, cplx, int64, int64, length]
+    # STAGE1, VECT, UPLO, N, KD, AB, LDAB, D, E, HOUS, LHOUS, WORK, LWORK, INFO, then three
+    # hidden lengths
+    to_tridiagonal.argtypes = [char, char, char, int64, int64, cplx, int64, real, real,
+                               cplx, int64, cplx, int64, int64, length, length, length]
     dsterf.argtypes = [int64, real, real, int64]  # N, D, E, INFO
-    zhetrd.restype = two_stage.restype = dsterf.restype = None
-    return zhetrd, two_stage, dsterf
+    zhetrd.restype = to_band.restype = to_tridiagonal.restype = dsterf.restype = None
+    return zhetrd, to_band, to_tridiagonal, dsterf
 
 
 def _reduce(work: np.ndarray):
     """T's diagonal (writable) and a function giving T's ascending spectrum by ``dsterf``,
-    for the real tridiagonal T made in place of C-ordered work, which LAPACK reads as
-    conj(work): by ``zhetrd`` below d = _TWO_STAGE and by ``zhetrd_2stage`` (dense to band,
-    then band to tridiagonal) from there, each by a unitary that fixes e_1; without the
-    binding, T is work and the function ``eigvalsh``."""
+    for the real tridiagonal T that a unitary fixing e_1 makes of C-ordered work, which
+    LAPACK reads as conj(work); without the binding, T is work and the function ``eigvalsh``.
+
+    Below d = _TWO_STAGE ``zhetrd`` makes T in place of work. From there the reduction has
+    two stages: ``zhetrd_he2hb`` takes work by BLAS-3 updates to a band of width _BAND,
+    copied into a (_BAND + 1) x d array beside its own WORK (about 65 d entries), which is
+    freed before ``zhetrd_hb2st`` chases the band to T. Nothing reads work after stage 1, so
+    stage 2's HOUS and WORK (about 69 d entries) are carved out of it, and work is spent."""
     if _lapack() is None:
         return work.reshape(-1)[:: work.shape[0] + 1], lambda: np.linalg.eigvalsh(work.T)
-    (zhetrd, two_stage, dsterf), ref = _lapack(), ctypes.byref
-    n, info = ctypes.c_int64(work.shape[0]), ctypes.c_int64(0)
-    diag, off, tau = np.empty(n.value), np.empty(n.value), np.empty(n.value, complex)
-    args, staged = (ref(n), work, ref(n), diag, off, tau), n.value >= _TWO_STAGE
+    (zhetrd, to_band, to_tridiagonal, dsterf), ref = _lapack(), ctypes.byref
+    d = work.shape[0]
+    n, kd, ldab, info = (ctypes.c_int64(k) for k in (d, _BAND, _BAND + 1, 0))
 
-    def reduce(*bufs, query=False):  # each workspace, then its length; a query sizes them
-        sized = [x for buf in bufs for x in (buf, ref(ctypes.c_int64(-1 if query else buf.size)))]
-        if staged:
-            two_stage(b"N", b"L", *args, *sized, ref(info), 1, 1)
-        else:
-            zhetrd(b"L", *args, *sized, ref(info), 1)
-        if info.value:
-            raise np.linalg.LinAlgError(f"reduction rejected its argument {-info.value}")
+    def call(routine, *args, spaces, make=None, chars=1):
+        """routine(*args, each workspace and its length, INFO, hidden lengths), its workspaces
+        sized by a query, then allocated or, with ``make``, taken from make(sizes)."""
 
-    sizes = [np.empty(1, complex) for _ in range(1 + staged)]  # HOUS2 (two-stage), then WORK
-    reduce(*sizes, query=True)
-    reduce(*(np.empty(int(size[0].real), complex) for size in sizes))
+        def run(bufs, query):
+            sized = [x for buf in bufs for x in (buf, ref(ctypes.c_int64(-1 if query else buf.size)))]
+            routine(*args, *sized, ref(info), *(1,) * chars)
+            if info.value:
+                raise np.linalg.LinAlgError(f"reduction rejected its argument {-info.value}")
+
+        sizes = [np.empty(1, complex) for _ in range(spaces)]
+        run(sizes, True)
+        sizes = [int(size[0].real) for size in sizes]
+        run(make(sizes) if make else [np.empty(size, complex) for size in sizes], False)
+
+    if d < _TWO_STAGE:
+        diag, off = np.empty(d), np.empty(d)
+        call(zhetrd, b"L", ref(n), work, ref(n), diag, off, np.empty(d, complex), spaces=1)
+    else:
+        band = np.empty((d, _BAND + 1), complex)  # LAPACK's LDAB x N band, column-major
+        call(to_band, b"L", ref(n), ref(kd), work, ref(n), band, ref(ldab), np.empty(d - _BAND, complex),
+             spaces=1)
+        diag, off, spent = np.empty(d), np.empty(d), work.reshape(-1)
+        call(to_tridiagonal, b"Y", b"N", b"L", ref(n), ref(kd), band, ref(ldab), diag, off, spaces=2,
+             make=lambda sizes: (spent[: sizes[0]], spent[sizes[0] : sum(sizes)]), chars=3)
 
     def spectrum() -> np.ndarray:  # dsterf overwrites both inputs
         vals, sub = diag.copy(), off.copy()
@@ -425,11 +458,12 @@ def _reduce(work: np.ndarray):
 
 def _report(work: np.ndarray, psi_id: np.ndarray, eta_estimate: float | None) -> SpectralReport:
     """The report of a checked density matrix, which it overwrites (a sweep row passes its
-    own): F and the variance, then both spectra from one reduction of H0 rho H0."""
+    own): F and the variance from one product rho psi, then both spectra from one reduction
+    of H0 rho H0."""
     d = work.shape[0]
     psi = _check_vector(psi_id, d)
-    f = fidelity(work, psi)
-    commutator_abs = 2.0 * math.sqrt(variance(work, psi))
+    f, var = _fidelity_and_variance(work @ psi, psi)
+    commutator_abs = 2.0 * math.sqrt(var)
     _reflect(work, psi)
     diag, spectrum = _reduce(work)
     eigenvalues = _spectrum(spectrum())

@@ -574,6 +574,49 @@ class TestSpectralReport:
         assert abs(np.mean(deviations)) <= 0.02
 
 
+class TestHermiticityCheck:
+    """A raw array's check compares each pair of 64 x 64 tiles once, lower
+    against upper; d = 65, 100 and 333 end in a ragged row and column of tiles."""
+
+    @staticmethod
+    def _state(d):
+        rho = random_density_matrix(np.random.default_rng(d), d)
+        rho = 0.5 * (rho + rho.conj().T)
+        assert np.array_equal(rho, rho.conj().T)
+        return rho
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 63, 64, 65, 100, 333, 1000])
+    def test_exactly_hermitian_arrays_pass(self, d):
+        rho = self._state(d)
+        report = compute_spectral_report(rho, random_statevector(np.random.default_rng(0), d))
+        assert report.lambda1 == pytest.approx(np.linalg.eigvalsh(rho)[-1], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "d, i, j",
+        [
+            (65, 64, 0), (65, 0, 64), (65, 64, 64), (65, 63, 1),
+            (333, 200, 10), (333, 100, 70), (333, 100, 100), (333, 10, 200),
+            (333, 330, 5), (333, 5, 330), (333, 332, 321), (333, 321, 332), (333, 332, 332),
+        ],
+    )
+    def test_one_entry_moved_past_the_tolerance_fails(self, d, i, j):
+        # below, on and above the diagonal tiles, and in the ragged last row and column
+        rho, psi = self._state(d), random_statevector(np.random.default_rng(0), d)
+        inside = rho.copy()
+        inside[i, j] += 0.4e-10j  # |rho_ij - conj(rho_ji)| is 0.8e-10 on the diagonal
+        compute_spectral_report(inside, psi)
+        rho[i, j] += 1.5e-10j
+        with pytest.raises(InvalidStateError):
+            compute_spectral_report(rho, psi)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (99, 99), (3, 70), (70, 3), (99, 64)])
+    def test_one_nan_fails(self, i, j):
+        rho = self._state(100)
+        rho[i, j] = np.nan
+        with pytest.raises(InvalidStateError):
+            compute_spectral_report(rho, random_statevector(np.random.default_rng(0), 100))
+
+
 def _require_binding():
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     if not list(libs.glob("libscipy_openblas64_*")):
@@ -609,22 +652,37 @@ class TestOneReduction:
         assert np.abs(spectrum() - expected).max() <= 1e-14 * np.abs(expected).max()
         assert np.array_equal(spectrum(), spectrum())
 
-    @pytest.mark.parametrize("eps", [1e-3, 1e-8])
-    def test_binding_and_fallback_agree_with_the_independent_route(self, monkeypatch, eps):
-        rho, psi = noisy_sel_state(0, n_qubits=6, layers=4, eps=eps)
-        fast = compute_spectral_report(rho, psi)
-        monkeypatch.setattr(metrics, "_lapack", lambda: None)
-        slow = compute_spectral_report(rho, psi)
-        lam = exact_eigenvalues(rho.data)  # numpy's eigvalsh errs by up to 8e-10 in W here
-        dist_wn = trace_distance(rho, build_white_noise_state(psi, fast.lambda1).data)
-        for report in (slow, fast):
-            for field in ("uniformity", "commutator_rel", "lambda1"):
-                assert getattr(report, field) == pytest.approx(getattr(fast, field), rel=1e-12)
-            assert report.trace_dist_wn == pytest.approx(fast.trace_dist_wn, abs=1e-14)
-            assert report.lambda1 == pytest.approx(lam[0], rel=1e-12)
-            # at eps 1e-8, W is built from eigenvalues a million times below lambda_1
-            assert report.uniformity == pytest.approx(eigenvalue_uniformity(lam), rel=1e-10)
-            assert report.trace_dist_wn == pytest.approx(dist_wn, abs=1e-14)
+    @pytest.mark.parametrize("eps, seeds", [(1e-3, [0]), (1e-8, range(8))], ids=["0.001", "1e-08"])
+    def test_binding_and_fallback_agree_with_the_independent_route(self, monkeypatch, eps, seeds):
+        # W's bound comes from the reduction's backward error. The computed
+        # spectrum is the exact one of rho + E, where a Householder reduction
+        # gives ||E||_2 <= c eps_mach ||rho||_2 with ||rho||_2 = lambda_1 <= 1
+        # (c grows with d in the worst case, which is not met in practice), so
+        # by Weyl each eigenvalue moves by at most c eps_mach. Then
+        #   W = 1/2 sum_{k>=2} |lambda_k / (1 - lambda_1) - 1/(d - 1)|
+        # moves by at most 1/2 sum_{k>=2} |d lambda_k| / (1 - lambda_1) from the
+        # numerators and 1/2 |d lambda_1| sum_{k>=2} lambda_k / (1 - lambda_1)^2
+        # = 1/2 |d lambda_1| / (1 - lambda_1) from the denominator: in all,
+        # 1/2 d c eps_mach / (1 - lambda_1), which is d eps_mach / (1 - lambda_1)
+        # at c = 2. At eps 1e-8, 1 - lambda_1 is about 8.7e-7 and the bound
+        # 1.6e-8; W is off by 1.1e-11 to 1.4e-10 over seeds 0-7 (2.5e-11 to
+        # 3.0e-10 relative), so a 1e-10 relative bound fails on five of them.
+        for seed in seeds:
+            rho, psi = noisy_sel_state(seed, n_qubits=6, layers=4, eps=eps)
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_lapack", lambda: None)
+                slow = compute_spectral_report(rho, psi)
+            fast = compute_spectral_report(rho, psi)
+            lam = exact_eigenvalues(rho.data)  # numpy's eigvalsh errs by up to 8e-10 in W here
+            dist_wn = trace_distance(rho, build_white_noise_state(psi, fast.lambda1).data)
+            w_bound = lam.size * np.finfo(float).eps / (1.0 - lam[0])
+            for report in (slow, fast):
+                for field in ("uniformity", "commutator_rel", "lambda1"):
+                    assert getattr(report, field) == pytest.approx(getattr(fast, field), rel=1e-12)
+                assert report.trace_dist_wn == pytest.approx(fast.trace_dist_wn, abs=1e-14)
+                assert report.lambda1 == pytest.approx(lam[0], rel=1e-12)
+                assert abs(report.uniformity - eigenvalue_uniformity(lam)) <= w_bound, seed
+                assert report.trace_dist_wn == pytest.approx(dist_wn, abs=1e-14)
 
     @pytest.mark.parametrize("kind", ["e1", "minus-i-e1", "zero-first-entry", "random"])
     def test_reflector_maps_psi_to_e1(self, rng, kind):

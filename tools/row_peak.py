@@ -1,8 +1,9 @@
 """Time and peak memory of one dense sweep row: ``python3 tools/row_peak.py N``
 runs the SEL row at width N, one layer, epsilon 1e-3 and seed 0 through
 ``run_sweep`` in a fresh child process with one BLAS thread and prints one JSON
-line: the git revision (null outside git), the row's ``evolve_s``, ``report_s``
-and ``row_s`` in seconds, and the child's ``peak_rss_mb``."""
+line: the git revision (null outside git), the row's ``evolve_s``, ``check_s``
+(its ``_check_density``), ``report_s`` and ``row_s`` in seconds, and the child's
+``peak_rss_mb``."""
 
 import argparse
 import json
@@ -17,9 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def measure(n_qubits: int) -> dict:
-    """Run the row here, timing the harness's calls to ``_evolve`` and ``_report``."""
+    """Run the row here, timing the harness's calls to ``_evolve``, ``_check_density`` and
+    ``_report``."""
     from noisescramble import ExperimentConfig, harness
-    spent = {"evolve_s": 0.0, "report_s": 0.0}
+    spent = {"evolve_s": 0.0, "check_s": 0.0, "report_s": 0.0}
 
     def timed(key, func):
         def call(*args):
@@ -30,7 +32,8 @@ def measure(n_qubits: int) -> dict:
 
         return call
 
-    harness._evolve, harness._report = timed("evolve_s", harness._evolve), timed("report_s", harness._report)
+    for key, name in (("evolve_s", "_evolve"), ("check_s", "_check_density"), ("report_s", "_report")):
+        setattr(harness, name, timed(key, getattr(harness, name)))
     config = ExperimentConfig(family="SEL", n_qubits=n_qubits, epsilons=(1e-3,), layers=(1,), seeds=(0,))
     (row,) = harness.run_sweep(config)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
