@@ -12,7 +12,8 @@ by -lambda_1 e_1 e_1^T - (1 - lambda_1)/d. Below d = 1024 the reduction is
 band of width 32 by matrix-matrix products, in a band array of its own, and
 ``zhetrd_hb2st`` chases that band to T with its workspace carved out of rho's
 spent buffer. Width 32 in place of the 16 that ``zhetrd_2stage`` takes made
-the reduction about 1.15x faster at n = 10 to 12 (``BENCH_band_width.json``).
+the reduction 1.11x faster at n = 10, 1.25x at n = 11 and 1.38x at n = 12
+(``BENCH_band_width.json``).
 
 Norm convention: ``trace_distance`` returns the full trace norm
 sum_k |eig_k(a - b)| without the factor 1/2. The one place a half enters
@@ -413,7 +414,9 @@ def _reduce(work: np.ndarray):
     two stages: ``zhetrd_he2hb`` takes work by BLAS-3 updates to a band of width _BAND,
     copied into a (_BAND + 1) x d array beside its own WORK (about 65 d entries), which is
     freed before ``zhetrd_hb2st`` chases the band to T. Nothing reads work after stage 1, so
-    stage 2's HOUS and WORK (about 69 d entries) are carved out of it, and work is spent."""
+    stage 2's HOUS and WORK (about 69 d entries) are carved out of it, and work is spent.
+    At n = 10, 11 and 12 this takes 0.217, 1.57 and 11.1 s against 0.242, 1.95 and 15.2 s
+    for ``zhetrd_2stage`` (one BLAS thread, ``BENCH_band_width.json``)."""
     if _lapack() is None:
         return work.reshape(-1)[:: work.shape[0] + 1], lambda: np.linalg.eigvalsh(work.T)
     (zhetrd, to_band, to_tridiagonal, dsterf), ref = _lapack(), ctypes.byref

@@ -320,12 +320,13 @@ def _check_hermitian(data: np.ndarray, tol: float) -> None:
     """Raise unless |data - data^dagger| <= tol entrywise (NaN fails). Each pair of
     _TILE x _TILE tiles is compared once, a tile on or below the diagonal against the
     conjugate transpose of its mirror, so every entry is read once and the temporaries
-    are a few tiles."""
-    starts = range(0, len(data), _TILE)
-    for i, j in ((i, j) for i in starts for j in starts if j <= i):
-        lower, upper = data[i : i + _TILE, j : j + _TILE], data[j : j + _TILE, i : i + _TILE]
-        if not np.abs(lower - upper.T.conj()).max() <= tol:
-            raise InvalidStateError(f"matrix is not Hermitian within {tol:.0e}")
+    are a few tiles: about 2.3x faster than comparing whole row blocks with their
+    mirror columns at n = 10 and 3.7x at n = 12 (``BENCH_band_width.json``)."""
+    for i in range(0, len(data), _TILE):
+        for j in range(0, i + 1, _TILE):
+            lower, upper = data[i : i + _TILE, j : j + _TILE], data[j : j + _TILE, i : i + _TILE]
+            if not np.abs(lower - upper.T.conj()).max() <= tol:
+                raise InvalidStateError(f"matrix is not Hermitian within {tol:.0e}")
 
 
 def _check_vector(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
