@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import statistics
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -387,13 +388,7 @@ def aggregate_and_fit(rows, metric_kind: str = "W") -> ScalingFit:
     for nu in sorted(by_nu):
         values = by_nu[nu]
         mean = sum(values) / len(values)
-        if len(values) > 1:
-            spread = math.sqrt(
-                sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-            )
-            stderr = spread / math.sqrt(len(values))
-        else:
-            stderr = 0.0
+        stderr = statistics.stdev(values, mean) / math.sqrt(len(values)) if len(values) > 1 else 0.0
         samples.append(ScalingSample(nu, epsilon * nu, mean, stderr))
     return fit_scaling(samples)
 

@@ -27,7 +27,6 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +44,8 @@ _PURITY_TOL = 1e-12  # above 1 - this, the dominant eigenvalue counts as 1
 _CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped to 0
 # lambda_1 - F is a difference of two O(1) numbers; below this it is rounding
 _GAP_FLOOR = 1e2 * np.finfo(float).eps
-# entries per row block (64 KiB) of the in-place reflection, which takes two such blocks
+# entries per row block (64 KiB) of the in-place reflection, which takes two such blocks; the
+# conversions' 128 KB blocks would lift a row report's peak at n = 9 from 0.073 to 0.135 of rho
 _BLOCK = 4096
 # from this d the report reduces in two stages (dense to band, band to tridiagonal): faster
 # from n = 9 and, from n = 10, stage 1's band and WORK (about 99 d entries) are under a tenth
@@ -379,14 +379,11 @@ def _reflect(work: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _lapack() -> tuple | None:
-    """``zhetrd``, ``zhetrd_he2hb``, ``zhetrd_hb2st`` and ``dsterf`` from numpy's own OpenBLAS
-    handle (its thread settings hold), or None where that library lacks any of the four."""
+    """``zhetrd``, ``zhetrd_he2hb``, ``zhetrd_hb2st`` and ``dsterf`` from the LAPACK numpy's linalg
+    links (its OpenBLAS thread settings hold), or None where that library lacks any of the four."""
     names = ("scipy_zhetrd_64_", "scipy_zhetrd_he2hb_64_", "scipy_zhetrd_hb2st_64_", "scipy_dsterf_64_")
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in (ctypes.CDLL(str(path)) for path in sorted(libs.glob("libscipy_openblas64_*.so"))):
-        if all(hasattr(lib, name) for name in names):
-            break
-    else:
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    if not all(hasattr(lib, name) for name in names):
         return None
     zhetrd, to_band, to_tridiagonal, dsterf = (getattr(lib, name) for name in names)
     int64 = ctypes.POINTER(ctypes.c_int64)
@@ -423,13 +420,13 @@ def _reduce(work: np.ndarray):
     d = work.shape[0]
     n, kd, ldab, info = (ctypes.c_int64(k) for k in (d, _BAND, _BAND + 1, 0))
 
-    def call(routine, *args, spaces, make=None, chars=1):
-        """routine(*args, each workspace and its length, INFO, hidden lengths), its workspaces
-        sized by a query, then allocated or, with ``make``, taken from make(sizes)."""
+    def call(routine, *args, spaces, make=None):
+        """routine(*args, each workspace and its length, INFO, 1 per hidden length in its argtypes),
+        its workspaces sized by a query, then allocated or, with ``make``, taken from make(sizes)."""
 
         def run(bufs, query):
             sized = [x for buf in bufs for x in (buf, ref(ctypes.c_int64(-1 if query else buf.size)))]
-            routine(*args, *sized, ref(info), *(1,) * chars)
+            routine(*args, *sized, ref(info), *(1,) * routine.argtypes.count(ctypes.c_size_t))
             if info.value:
                 raise np.linalg.LinAlgError(f"reduction rejected its argument {-info.value}")
 
@@ -447,7 +444,7 @@ def _reduce(work: np.ndarray):
              spaces=1)
         diag, off, spent = np.empty(d), np.empty(d), work.reshape(-1)
         call(to_tridiagonal, b"Y", b"N", b"L", ref(n), ref(kd), band, ref(ldab), diag, off, spaces=2,
-             make=lambda sizes: (spent[: sizes[0]], spent[sizes[0] : sum(sizes)]), chars=3)
+             make=lambda sizes: (spent[: sizes[0]], spent[sizes[0] : sum(sizes)]))
 
     def spectrum() -> np.ndarray:  # dsterf overwrites both inputs
         vals, sub = diag.copy(), off.copy()

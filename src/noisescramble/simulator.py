@@ -454,14 +454,11 @@ class _Op:
         self.qubits = qubits
         self.matrix = matrix
 
-    def apply(self, state: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, state: np.ndarray, spare: np.ndarray) -> np.ndarray:
         """The op on C-contiguous ``state``, written to and returned in ``spare``,
-        an array of its shape; both are overwritten. Without ``spare`` the state
-        is copied and the result is new. A non-adjacent op copies the state with
-        its axes in front into spare, acts from there into the state's memory
-        and copies the result back in qubit order."""
-        if spare is None:
-            state, spare = state.copy(), np.empty_like(state)
+        an array of its shape; both are overwritten. A non-adjacent op copies the
+        state with its axes in front into spare, acts from there into the state's
+        memory and copies the result back in qubit order."""
         k, first = len(self.qubits), self.qubits[0]
         if self.qubits == tuple(range(first, first + k)):  # adjacent: no transpose
             source, target = state.reshape(4**first, 4**k, -1), spare

@@ -1,7 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 REPO_ROOT = __import__("pathlib").Path(__file__).resolve().parent.parent
+
+
+def traced_peak(func, *args):
+    """Peak bytes traced while func(*args) runs, above what was traced when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def random_statevector(rng, dim):

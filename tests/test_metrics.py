@@ -1,6 +1,3 @@
-import tracemalloc
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,7 +31,12 @@ from noisescramble import metrics
 from noisescramble.metrics import _reduce, _reflect, _report
 from noisescramble.simulator import _evolve
 
-from .conftest import random_density_matrix, random_statevector, random_traceless_hermitian
+from .conftest import (
+    random_density_matrix,
+    random_statevector,
+    random_traceless_hermitian,
+    traced_peak,
+)
 from .oracles import commutator_trace_norm, exact_eigenvalues
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -520,39 +522,27 @@ class TestSpectralReport:
             assert report.trace_dist_wn == pytest.approx(trace_distance(rho, wn.data), rel=1e-10)
 
     def test_peak_memory_above_inputs_is_one_matrix(self):
-        # one working d x d matrix for rho - rho_wn; eigvalsh's own copy is
-        # LAPACK workspace, outside tracemalloc
+        # one working d x d matrix: the public report copies rho, reflects the
+        # copy a row block at a time and zhetrd reduces it in place
         rho, psi = noisy_sel_state(0, n_qubits=9, layers=2, eps=1e-3)
         compute_spectral_report(rho, psi)  # warm-up
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            compute_spectral_report(rho, psi)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(compute_spectral_report, rho, psi)
         assert peak <= 1.25 * 16 * 4**9, peak / (16 * 4**9)
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_row_report_allocates_under_a_tenth_of_a_matrix(self, n):
-        # the row path's report overwrites rho with rho - rho_wn a row block
-        # at a time, so it needs no working matrix of its own; at n=10 the
-        # two-stage reduction's workspace is held to the same bound
+        # the row path's report reflects rho in its own buffer a row block at
+        # a time and reduces it there, so it needs no working matrix of its
+        # own; at n=10 the band route's band and workspace (zhetrd_he2hb, then
+        # zhetrd_hb2st in rho's spent buffer) are held to the same bound
         program = build_sel_circuit(n, 2, seed=0).with_noise(1e-3)
         psi = run_ideal(program, basis_statevector(n))
         _report(_evolve(program), psi, None)  # warm-up
-        work = _evolve(program)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _report(work, psi, None)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(_report, _evolve(program), psi, None)
         assert peak <= 0.1 * 16 * 4**n, peak / (16 * 4**n)
 
     def test_inputs_left_unchanged(self):
-        # n=7: rho - rho_wn takes two row blocks, built in the report's copy
+        # n=7: the reflection takes four row blocks, all in the report's copy
         rho, psi = noisy_sel_state(0, n_qubits=7, layers=2, eps=1e-3)
         raw = np.array(rho.data)
         raw_before, rho_before = raw.tobytes(), rho.data.tobytes()
@@ -618,15 +608,17 @@ class TestHermiticityCheck:
 
 
 def _require_binding():
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    if not list(libs.glob("libscipy_openblas64_*")):
-        pytest.skip("numpy.libs holds no scipy_openblas64 library, so the report falls back")
+    # a numpy on scipy-openblas must reach the routines, not fall back in silence
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    if lapack != "scipy-openblas":
+        pytest.skip(f"numpy links {lapack}, not scipy-openblas, so the report falls back")
     assert metrics._lapack() is not None
 
 
 class TestOneReduction:
-    """The row report reduces rho once, with LAPACK's zhetrd below d = 1024 and
-    zhetrd_2stage from there, and reads both spectra off T."""
+    """The row report reflects rho, reduces it once, with LAPACK's zhetrd below
+    d = 1024 and zhetrd_he2hb + zhetrd_hb2st from there, and reads both
+    spectra off T."""
 
     def test_binding_matches_eigvalsh_bit_for_bit(self, rng):
         # pins the one-stage route to the LAPACK numpy itself runs: eigvalsh
@@ -640,7 +632,7 @@ class TestOneReduction:
             assert np.array_equal(spectrum(), expected), n  # the spectrum leaves T as it was
 
     def test_two_stage_route_from_d_1024(self):
-        # n=10, the first width on zhetrd_2stage, on the reflected state a row reduces
+        # n=10, the first width on zhetrd_he2hb + zhetrd_hb2st, on the reflected state a row reduces
         _require_binding()
         program = build_sel_circuit(10, 2, seed=0).with_noise(1e-3)
         work = _evolve(program)

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from noisescramble.simulator import (
     _to_pauli,
 )
 
-from .conftest import REPO_ROOT
+from .conftest import REPO_ROOT, traced_peak
 from .oracles import (
     PAULI,
     embed,
@@ -401,32 +400,13 @@ class TestDefaultStartState:
         run_circuit(program, initial)
         assert np.array_equal(initial.data, before)
 
-    def test_peak_memory_is_two_matrices(self):
-        # the real Pauli state (half a d x d complex matrix) is gone before
-        # the conversion takes its second buffer, and the spent buffer is
-        # gone before the output's Hermiticity check
-        program = build_sel_circuit(9, 2, seed=0).with_noise(1e-3)
-        run_circuit(program)  # warm-up: cached maps and axis orders
-        tracemalloc.start()
-        try:
-            run_circuit(program)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * 16 * 4**9, peak / (16 * 4**9)
-
     @pytest.mark.parametrize("n_qubits", [9, 10])
     def test_peak_memory_is_one_matrix_and_a_quarter(self, n_qubits):
         # the Pauli state and the kernel's spare buffer are the two real
         # halves of the output, and the conversion back works inside it
         program = build_sel_circuit(n_qubits, 2, seed=0).with_noise(1e-3)
         run_circuit(program)  # warm-up: cached maps and tables
-        tracemalloc.start()
-        try:
-            run_circuit(program)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run_circuit, program)
         assert peak <= 1.35 * 16 * 4**n_qubits, peak / (16 * 4**n_qubits)
 
 
@@ -676,7 +656,7 @@ class TestFusedKernel:
             initial = DensityMatrix(n, random_density_matrix(rng, 2**n))
             x = _to_pauli(initial)
             for gate in program.gates:
-                x = _Op(*_noisy_map(gate, program.noise.per_gate_error)).apply(x)
+                x = _Op(*_noisy_map(gate, program.noise.per_gate_error)).apply(x, np.empty_like(x))
             rho = run_circuit(program, initial)
             assert np.abs(rho.data - _from_pauli(x, n)).max() <= 1e-13, trial
             widths.update(len(g.qubits) for g in program.gates)
@@ -727,12 +707,7 @@ class TestFusedKernel:
             program = build_sel_circuit(5, layers, seed=4).with_noise(1e-3)
             initial = DensityMatrix.basis_state(5)
             run_circuit(program, initial)  # warm-up
-            tracemalloc.start()
-            try:
-                run_circuit(program, initial)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(run_circuit, program, initial))
         assert peaks[1] <= 1.2 * peaks[0], peaks
 
     @pytest.mark.parametrize("name, per_gate_error", [("sel5", 1e-3), ("sparse4", 1e-3)])
@@ -769,7 +744,7 @@ class TestFusedKernel:
         n = program.n_qubits
         x = _to_pauli(DensityMatrix.basis_state(n))
         for op in _fused_ops(program):
-            x = op.apply(x)
+            x = op.apply(x, np.empty_like(x))
         assert x.dtype == np.float64 and x.reshape(-1)[0] == 1.0
         m = _from_pauli(x, n)
         assert np.abs(m - m.conj().T).max() == 0.0
