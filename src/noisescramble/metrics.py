@@ -44,8 +44,8 @@ _PURITY_TOL = 1e-12  # above 1 - this, the dominant eigenvalue counts as 1
 _CLAMP_TOL = 1e-10  # negative eigenvalues down to -this are rounding, clamped to 0
 # lambda_1 - F is a difference of two O(1) numbers; below this it is rounding
 _GAP_FLOOR = 1e2 * np.finfo(float).eps
-# entries per row block (64 KiB) of the in-place reflection, which takes two such blocks; the
-# conversions' 128 KB blocks would lift a row report's peak at n = 9 from 0.073 to 0.135 of rho
+# entries per 64 KiB row block of the in-place reflection (two are alive); the 128 KB blocks of
+# simulator._row_blocks would lift a row report at n = 9 from 0.073 to 0.135 of rho, over its test's 0.1
 _BLOCK = 4096
 # from this d the report reduces in two stages (dense to band, band to tridiagonal): faster
 # from n = 9 and, from n = 10, stage 1's band and WORK (about 99 d entries) are under a tenth

@@ -332,8 +332,8 @@ class TestOneEvolutionPass:
         )
 
     def test_rows_equal_the_public_report_across_row_blocks(self):
-        # at n=9 the row's report builds rho - rho_wn in rho's buffer in 32
-        # row blocks; the public report builds it in a copy
+        # at n=9 the row's report reflects rho in its own buffer in 64 row
+        # blocks; the public report reflects a copy
         config = small_config(n_qubits=9, epsilons=(1e-3, 1e-8), layers=(1,), seeds=(0,))
         rows = run_sweep(config)
         assert len(rows) == 2

@@ -513,8 +513,8 @@ class TestSpectralReport:
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-3])
     def test_white_noise_distance_matches_the_white_noise_state(self, eps):
-        # the report builds rho - rho_wn in one working matrix; the
-        # reference builds rho_wn, then the difference
+        # the report reads spec(rho - rho_wn) off the reduced rho with its
+        # diagonal shifted; the reference builds rho_wn, then the difference
         for seed in range(3):
             rho, psi = noisy_sel_state(seed, n_qubits=5, layers=6, eps=eps)
             report = compute_spectral_report(rho, psi)
