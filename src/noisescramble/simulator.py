@@ -350,7 +350,6 @@ def _axis_orders(axes: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tup
 # order I, X, Y, Z. On one qubit, Pauli a times Pauli b is i^_PHASE[a, b]
 # times Pauli a ^ b.
 _PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
-_ID_MAP = np.eye(4)
 # H = X Ry(pi/2) and CNOT = exp(-i pi/4 Z_c) exp(-i pi/4 X_t) exp(i pi/4 Z_c X_t),
 # up to global phases, as Pauli rotations exp(-i phi P / 2), the first
 # applied last, each given as (P, (1, cos phi, sin phi)); their product is
@@ -435,9 +434,11 @@ def _noisy_maps(program: CircuitProgram):
                 yield qubits, _clifford_ptm(gate.kind, False, rate)
 
 
-def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """first (x) second for two single-qubit maps, in pair order."""
-    return (first.reshape(4, 1, 4, 1) * second.reshape(1, 4, 1, 4)).reshape(16, 16)
+# Blocks from which a pair op with 4 trailing coefficients (qubits n - 3 and
+# n - 2) runs as one GEMM on its transposed stack. µs per op, stacked against
+# transposed, one BLAS thread: n = 4 2.3/2.8, n = 5 3.5/3.9, n = 6 19.5/15.3,
+# n = 7 57.5/40.0, n = 8 154/96 (4, 16, 64, 256 and 1024 blocks).
+_WIDE_STACK = 64
 
 
 class _Op:
@@ -458,7 +459,18 @@ class _Op:
         """The op on C-contiguous ``state``, written to and returned in ``spare``,
         an array of its shape; both are overwritten. A non-adjacent op copies the
         state with its axes in front into spare, acts from there into the state's
-        memory and copies the result back in qubit order."""
+        memory and copies the result back in qubit order.
+
+        A map M on at most two qubits acts on a stack of (4^k, rest) blocks, by a
+        product picked from that shape alone (µs per op at n = 7, one BLAS thread):
+        on the last qubits (rest = 1) one GEMM of the (blocks, 4^k) rows with a
+        C-contiguous copy of M^T, which numpy multiplies faster than the ``.T``
+        view (last pair 14.8 against 26.5); a pair with rest = 4 on at least
+        _WIDE_STACK blocks as the same GEMM on the stack with its last two axes
+        swapped, as numpy's stack of 16 x 16 by 16 x 4 products is slow there
+        (40.0 against 57.5) though faster on fewer blocks; any other shape as M
+        times each block, which a one-qubit map keeps at every width (47 against
+        63 transposed)."""
         k, first = len(self.qubits), self.qubits[0]
         if self.qubits == tuple(range(first, first + k)):  # adjacent: no transpose
             source, target = state.reshape(4**first, 4**k, -1), spare
@@ -467,14 +479,17 @@ class _Op:
             np.copyto(spare, state.transpose(order))
             source, target = spare.reshape(1, 4**k, -1), state
         out = target.reshape(source.shape)
+        blocks, rest = source.shape[::2]
         if k > 2:
             diagonal, off, partner = self.matrix
             np.take(source, partner, axis=1, out=out, mode="wrap")  # "raise" would buffer out
             out *= off[:, None]
             source *= diagonal[:, None]
             out += source
-        elif source.shape[2] == 1:  # the last qubits: one matmul beats a broadcast one
-            np.matmul(source.reshape(-1, 4**k), self.matrix.T, out=out.reshape(-1, 4**k))
+        elif rest == 1:
+            np.matmul(source.reshape(-1, 4**k), self.matrix.T.copy(), out=out.reshape(-1, 4**k))
+        elif k == 2 and rest == 4 and blocks >= _WIDE_STACK:
+            np.matmul(source.transpose(0, 2, 1), self.matrix.T.copy(), out=out.transpose(0, 2, 1))
         else:
             np.matmul(self.matrix, source, out=out)
         if target is state:
@@ -504,8 +519,10 @@ def _fused_ops(program: CircuitProgram):
             waiting[q] = matrix @ waiting[q] if q in waiting else matrix
         elif k == 2:
             a, b = qubits
-            if a in waiting or b in waiting:
-                matrix = matrix @ _pair_product(waiting.pop(a, _ID_MAP), waiting.pop(b, _ID_MAP))
+            if b in waiting:  # matrix (I (x) B): B on each row's second-qubit index
+                matrix = (matrix.reshape(64, 4) @ waiting.pop(b)).reshape(16, 16)
+            if a in waiting:  # matrix (A (x) I): A^T on each row as a 4 x 4 block
+                matrix = (waiting.pop(a).T @ matrix.reshape(16, 4, 4)).reshape(16, 16)
             if open_op is not None and open_op.qubits == qubits:
                 open_op.matrix = matrix @ open_op.matrix
             else:
