@@ -16,11 +16,15 @@ trace is kept by construction. A single-qubit map waits on its qubit and
 is folded into the next map there; a pair map takes in the maps waiting
 on its qubits and joins the one open op if that op is on the same pair,
 else it replaces it. Fusion only composes linear maps and commutes maps on
-disjoint qubits, so it changes results by rounding alone. A Pauli
-exponential on more qubits and its noise are one op that pairs
-coefficients, never a dense 4^k map. The state enters the Pauli basis
-once, directly as |0...0><0...0| by default, and leaves it once, as an
-exactly Hermitian d x d matrix. The state and the kernel's spare buffer
+disjoint qubits, so it changes results by rounding alone. An op on the last
+qubits is one GEMM of the state's rows with a copy of its map transposed, a
+pair with four trailing coefficients on at least 64 blocks the same GEMM on
+the stack with its last two axes swapped, and any other op on one or two
+qubits its map times each block of the state. A Pauli exponential on
+more qubits and its noise are one op that pairs coefficients, never a
+dense 4^k map. The state enters the Pauli basis once, directly as
+|0...0><0...0| by default, and leaves it once, as an exactly Hermitian
+d x d matrix. The state and the kernel's spare buffer
 are the two real halves of that matrix's complex buffer, and the way out
 works inside it, so memory peaks at one d x d buffer and an eighth. A
 sweep row's report then reduces rho in the same buffer.
@@ -479,16 +483,15 @@ class _Op:
             np.copyto(spare, state.transpose(order))
             source, target = spare.reshape(1, 4**k, -1), state
         out = target.reshape(source.shape)
-        blocks, rest = source.shape[::2]
         if k > 2:
             diagonal, off, partner = self.matrix
             np.take(source, partner, axis=1, out=out, mode="wrap")  # "raise" would buffer out
             out *= off[:, None]
             source *= diagonal[:, None]
             out += source
-        elif rest == 1:
+        elif source.shape[2] == 1:
             np.matmul(source.reshape(-1, 4**k), self.matrix.T.copy(), out=out.reshape(-1, 4**k))
-        elif k == 2 and rest == 4 and blocks >= _WIDE_STACK:
+        elif k == 2 and source.shape[2] == 4 and len(source) >= _WIDE_STACK:
             np.matmul(source.transpose(0, 2, 1), self.matrix.T.copy(), out=out.transpose(0, 2, 1))
         else:
             np.matmul(self.matrix, source, out=out)

@@ -130,10 +130,68 @@ def commutator_trace_norm(rho, psi):
 
 def exact_eigenvalues(matrix, digits=20):
     """The eigenvalues of a Hermitian matrix of doubles in descending order,
-    computed in ``digits``-digit arithmetic and then rounded: a double-precision
-    eigensolver is off by about eps_mach * ||matrix|| in each of them."""
+    computed in extended precision and then rounded: a double-precision
+    eigensolver is off by about eps_mach * ||matrix|| in each of them. Where
+    numpy's longdouble is the x87 80-bit format (eps 1.1e-19) that is
+    ``extended_eigenvalues``, elsewhere mpmath at ``digits`` digits."""
+    if np.finfo(np.longdouble).eps > 1e-18:  # longdouble is double here
+        return np.sort([float(v) for v in mpmath_eigenvalues(matrix, digits)])[::-1]
+    return extended_eigenvalues(matrix).astype(float)
+
+
+def mpmath_eigenvalues(matrix, digits=20):
+    """The eigenvalues of a Hermitian matrix as mpmath numbers, from ``eighe``
+    at ``digits`` digits."""
     import mpmath
 
     with mpmath.workdps(digits):
-        values = mpmath.eighe(mpmath.matrix(np.asarray(matrix).tolist()), eigvals_only=True)
-    return np.sort([float(v) for v in values])[::-1]
+        return mpmath.eighe(mpmath.matrix(np.asarray(matrix).tolist()), eigvals_only=True)
+
+
+def extended_eigenvalues(matrix):
+    """The eigenvalues of a Hermitian matrix in descending order, as longdoubles:
+    Householder reflections take it to tridiagonal form in np.clongdouble,
+    then bisection on Sturm counts finds all eigenvalues at once."""
+    a = np.array(matrix, dtype=np.clongdouble)
+    n = len(a)
+    off = np.zeros(n - 1, dtype=np.longdouble)  # |T[k + 1, k]|
+    for k in range(n - 1):
+        x = a[k + 1 :, k]
+        norm = np.sqrt((x.real**2 + x.imag**2).sum())
+        off[k] = norm
+        if k == n - 2 or norm == 0:
+            continue
+        # H = I - 2 v v^H maps x to -phase norm e_1, and H A H = A - 2 v w^H - 2 w v^H
+        v = x.copy()
+        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1) * norm
+        v /= np.sqrt((v.real**2 + v.imag**2).sum())
+        rest = a[k + 1 :, k + 1 :]
+        p = rest @ v
+        w = p - (v.conj() @ p) * v
+        rest -= 2 * (np.outer(v, w.conj()) + np.outer(w, v.conj()))
+    return _sturm_bisection(a.diagonal().real.copy(), off)[::-1]
+
+
+def _sturm_bisection(diagonal, off):
+    """The eigenvalues, ascending, of the symmetric tridiagonal matrix with this
+    diagonal and off-diagonal, each bisected until its interval is 1e-22 of the
+    Gershgorin bound or has no longdouble inside. The k-th lies below x where
+    more than k pivots of T - x I = L D L^T are negative (Sylvester's law of
+    inertia)."""
+    n, squares = len(diagonal), off**2
+    radius = np.r_[off, 0] + np.r_[0, off]
+    lo, hi = np.full(n, (diagonal - radius).min()), np.full(n, (diagonal + radius).max())
+    tol = 1e-22 * max(abs(lo[0]), abs(hi[0]))
+    pivmin = np.finfo(np.longdouble).tiny * max(1, squares.max(initial=0))
+    index = np.arange(n)
+    while True:
+        mid = (lo + hi) / 2
+        if not ((hi - lo > tol) & (lo < mid) & (mid < hi)).any():
+            return mid
+        count, pivot = np.zeros(n, dtype=int), 0
+        for i in range(n):
+            pivot = diagonal[i] - mid - (squares[i - 1] / pivot if i else 0)
+            pivot[np.abs(pivot) < pivmin] = -pivmin
+            count += pivot < 0
+        below = count > index
+        hi, lo = np.where(below, mid, hi), np.where(below, lo, mid)

@@ -37,7 +37,12 @@ from .conftest import (
     random_traceless_hermitian,
     traced_peak,
 )
-from .oracles import commutator_trace_norm, exact_eigenvalues
+from .oracles import (
+    commutator_trace_norm,
+    exact_eigenvalues,
+    extended_eigenvalues,
+    mpmath_eigenvalues,
+)
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 
@@ -675,6 +680,21 @@ class TestOneReduction:
                 assert report.lambda1 == pytest.approx(lam[0], rel=1e-12)
                 assert abs(report.uniformity - eigenvalue_uniformity(lam)) <= w_bound, seed
                 assert report.trace_dist_wn == pytest.approx(dist_wn, abs=1e-14)
+
+    def test_extended_oracle_matches_mpmath(self):
+        # the oracle above on x87 longdoubles against mpmath at 20 digits, on a
+        # state as close to pure as that test's: 2.2e-19 apart at most, and
+        # 6.2e-19 on its n = 6 seed-0 state, nearly all of it in lambda_1 ~ 1
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("longdouble is double here, so exact_eigenvalues takes mpmath")
+        mpmath = pytest.importorskip("mpmath")
+        rho, _ = noisy_sel_state(0, n_qubits=5, layers=4, eps=1e-8)
+        extended = extended_eigenvalues(rho.data)
+        with mpmath.workdps(30):
+            expected = sorted(mpmath_eigenvalues(rho.data), reverse=True)
+            gaps = [abs(mpmath.mpf(str(e)) - v) for e, v in zip(extended, expected)]
+        assert extended.dtype == np.longdouble and len(gaps) == 32
+        assert max(gaps) <= 1e-18
 
     @pytest.mark.parametrize("kind", ["e1", "minus-i-e1", "zero-first-entry", "random"])
     def test_reflector_maps_psi_to_e1(self, rng, kind):

@@ -756,6 +756,48 @@ class TestFusedKernel:
         assert len(list(_fused_ops(program))) <= program.gate_count == 7042
 
 
+class TestProductForms:
+    """``_Op.apply`` picks its product from the op's shape: the last qubits and
+    a pair with 4 trailing coefficients on at least ``_WIDE_STACK`` blocks run
+    as one GEMM with M^T, every other shape as M times each block. Each form
+    against a dense einsum of the map on the reshaped state."""
+
+    @staticmethod
+    def _check(rng, n, qubits):
+        k, first = len(qubits), qubits[0]
+        matrix = rng.normal(size=(4**k, 4**k))
+        x = rng.normal(size=(4,) * n)
+        source = x.reshape(4**first, 4**k, -1)
+        expected = np.einsum("ij,ajb->aib", matrix, source)
+        spare = np.empty_like(x)
+        got = _Op(qubits, matrix).apply(x.copy(), spare)
+        assert got is spare
+        assert np.abs(got.reshape(source.shape) - expected).max() <= 1e-13, (n, qubits)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_every_adjacent_pair(self, rng, n):
+        # (n - 3, n - 2) has 4 trailing coefficients on 16, 64 and 256 blocks:
+        # the stacked product, then the transposed GEMM; (n - 2, n - 1) is the last pair
+        for first in range(n - 1):
+            self._check(rng, n, (first, first + 1))
+
+    def test_one_qubit_maps_stay_on_the_stacked_product(self, rng):
+        # on qubit 5 of 7 the map has 4 trailing coefficients on 1024 blocks
+        for q in range(7):
+            self._check(rng, 7, (q,))
+
+    @pytest.mark.parametrize("waiting", [(0,), (1,), (0, 1)], ids=["first", "second", "both"])
+    def test_waiting_maps_fold_as_a_kronecker_product(self, waiting):
+        rotations = {0: Gate.rotation_z(0, 0.6), 1: Gate.rotation_y(1, -1.1)}
+        pair, eps = Gate.pauli_exponential("XY", 0.8), 1e-3
+        program = CircuitProgram(2, (*(rotations[q] for q in waiting), pair), NoiseSpec(eps))
+        [op] = _fused_ops(program)
+        maps = [_noisy_map(rotations[q], eps)[1] if q in waiting else np.eye(4) for q in (0, 1)]
+        expected = _noisy_map(pair, eps)[1] @ np.kron(*maps)
+        assert op.qubits == (0, 1)
+        assert np.abs(op.matrix - expected).max() <= 1e-15
+
+
 def _every_kind_program(rng, n_qubits, n_gates):
     """Random Rx, Ry, Rz, H, CNOTs both ways round and Pauli exponentials of
     weight 1 to 4, as far as the width allows."""

@@ -2,29 +2,20 @@
 
     python3 tools/ab.py A B --workload sel7-deep --rounds 40 --out BENCH_ab.json
 
-Run from the root of a git checkout. Both revisions are exported with
-``git archive`` as ``tools/pairs.py`` does, and each tree's
-``src/noisescramble`` is loaded under its own package name (every import
-inside the package is relative), with a third, renamed copy of A as an
-identical-code control. One BLAS thread is set before numpy loads. After one
-warm-up sweep each, every round times whole ``run_sweep`` calls of the
-workload's seed-0 grid from A's ``perfbench/workloads.py``: the pair A, B and
-then the pair A, A', each in reverse order on odd rounds. Drift over a round
-(about a second) mostly cancels in the ratios B/A and A'/A.
-
-The entry written holds every round's times and ratios, both series'
-quartiles and ``verdict``, and the machine. It is added to ``--out`` under
-the key "A..B workload", beside the entries already there.
+Run from the root of a git checkout. Both revisions are exported as
+``tools/pairs.py`` does and imported under their own names (the package
+imports itself relatively), with a renamed copy of A as an identical-code
+control, under one BLAS thread. After a warm-up sweep each, every round times
+whole ``run_sweep`` calls of the workload's seed-0 grid: A, B, then A, A',
+each pair reversed on odd rounds. ``--out`` gains an entry "A..B workload".
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import importlib.util
 import json
 import os
-import platform
 import shutil
 import sys
 import tempfile
@@ -37,36 +28,23 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def verdict(change, control) -> str:
-    """Read the B/A ratios ``change`` against the A'/A ratios ``control``.
-
-    "better" when the change's upper quartile lies below 1 and below the
-    control's lower quartile, "worse" when its lower quartile lies above 1
-    and above the control's upper quartile, else "unresolved".
-    """
+    """"better" when the B/A ratios' upper quartile lies below 1 and below the
+    A'/A ratios' lower quartile, "worse" when their lower quartile lies above 1
+    and above the A'/A upper quartile, else "unresolved"."""
     if len(change) < 2 or len(control) < 2:
         raise ValueError("need at least two rounds in each series")
     (c1, _, c3), (a1, _, a3) = quartiles(change), quartiles(control)
     if c3 < min(1.0, a1):
         return "better"
-    if c1 > max(1.0, a3):
-        return "worse"
-    return "unresolved"
+    return "worse" if c1 > max(1.0, a3) else "unresolved"
 
 
 def series(first: list[float], second: list[float]) -> dict:
-    """Both sides' times of a series, each round's ratio second / first, and their summary."""
+    """Both sides' times, each round's ratio second / first, and their summary."""
     ratios = [b / a for a, b in zip(first, second)]
-    return {
-        "first_s": first, "second_s": second, "ratios": ratios,
-        "ratio_quartiles": quartiles(ratios), "second_faster": sum(r < 1 for r in ratios),
-        "medians_s": [quartiles(first)[1], quartiles(second)[1]],
-    }
-
-
-def load(tree: Path, name: str, into: Path):
-    """The package of ``tree``, imported as ``name`` from a copy under ``into``."""
-    shutil.copytree(tree / "src" / "noisescramble", into / name)
-    return importlib.import_module(name)
+    return {"first_s": first, "second_s": second, "ratios": ratios,
+            "ratio_quartiles": quartiles(ratios), "second_faster": sum(r < 1 for r in ratios),
+            "medians_s": [quartiles(first)[1], quartiles(second)[1]]}
 
 
 def main(argv=None) -> int:
@@ -78,20 +56,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     os.environ.update({var: "1" for var in THREAD_VARS})  # before any numpy import
-
-    repo = Path.cwd()
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
-        trees = [export(repo, rev, scratch) for rev in (args.a, args.b)]
-        spec = importlib.util.spec_from_file_location(
-            "ab_workloads", trees[0] / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        config = workloads.WORKLOADS[args.workload].config
-        (scratch / "pkgs").mkdir()
-        sys.path.insert(0, str(scratch / "pkgs"))
-        packages = [load(tree, name, scratch / "pkgs")
-                    for tree, name in zip((*trees, trees[0]), ("ab_a", "ab_b", "ab_a_copy"))]
+        trees = [export(Path.cwd(), rev, scratch) for rev in (args.a, args.b)]
+        sys.path[:0] = [str(trees[0] / "perfbench"), str(scratch)]
+        config = importlib.import_module("workloads").WORKLOADS[args.workload].config
+        packages = []
+        for tree, name in zip((*trees, trees[0]), ("ab_a", "ab_b", "ab_a_copy")):
+            shutil.copytree(tree / "src" / "noisescramble", scratch / name)
+            packages.append(importlib.import_module(name))
         configs = [p.ExperimentConfig(seed=0, **config) for p in packages]
 
         def timed(side: int) -> float:
@@ -99,8 +72,7 @@ def main(argv=None) -> int:
             packages[side].run_sweep(configs[side])
             return time.perf_counter() - started
 
-        for side in range(3):
-            timed(side)
+        [timed(side) for side in range(3)]  # warm-up
         # per other side (1 is B, 2 is A'): A's times and its own, round by round
         first, second = {1: [], 2: []}, {1: [], 2: []}
         for index in range(args.rounds):
@@ -108,17 +80,13 @@ def main(argv=None) -> int:
                 took = {side: timed(side) for side in ((0, other), (other, 0))[index % 2]}
                 first[other].append(took[0])
                 second[other].append(took[other])
-            print(f"round {index}: B/A {second[1][-1] / first[1][-1]:.4f}, "
-                  f"A'/A {second[2][-1] / first[2][-1]:.4f}", flush=True)
 
     change, control = series(first[1], second[1]), series(first[2], second[2])
     entry = {
-        "method": (f"tools/ab.py: {args.rounds} rounds after one warm-up sweep each, seed 0; "
+        "method": (f"tools/ab.py: {args.rounds} rounds after a warm-up sweep each, seed 0; "
                    "per round the pairs (A, B) and (A, A'), reversed on odd rounds"),
-        "revisions": {"A": args.a, "B": args.b},
-        "workload": args.workload,
+        "revisions": {"A": args.a, "B": args.b}, "workload": args.workload,
         "machine": {"nproc": os.cpu_count(), "numpy": sys.modules["numpy"].__version__,
-                    "python": platform.python_version(),
                     **{var: os.environ[var] for var in THREAD_VARS}},
         "B/A": change, "A'/A": control,
         "verdict": verdict(change["ratios"], control["ratios"]),
