@@ -439,9 +439,10 @@ def _noisy_maps(program: CircuitProgram):
 
 
 # Blocks from which a pair op with 4 trailing coefficients (qubits n - 3 and
-# n - 2) runs as one GEMM on its transposed stack. µs per op, stacked against
-# transposed, one BLAS thread: n = 4 2.3/2.8, n = 5 3.5/3.9, n = 6 19.5/15.3,
-# n = 7 57.5/40.0, n = 8 154/96 (4, 16, 64, 256 and 1024 blocks).
+# n - 2) runs as one GEMM on its transposed stack. us per op, stacked against
+# transposed with its M^T copy, one BLAS thread: n = 4 3.2/4.6, n = 5 6.5/7.2,
+# n = 6 17.9/14.4, n = 7 63.2/41.5, n = 8 239/153 (4, 16, 64, 256 and 1024
+# blocks; BENCH_kernel_table.json).
 _WIDE_STACK = 64
 
 
@@ -466,15 +467,15 @@ class _Op:
         memory and copies the result back in qubit order.
 
         A map M on at most two qubits acts on a stack of (4^k, rest) blocks, by a
-        product picked from that shape alone (µs per op at n = 7, one BLAS thread):
-        on the last qubits (rest = 1) one GEMM of the (blocks, 4^k) rows with a
-        C-contiguous copy of M^T, which numpy multiplies faster than the ``.T``
-        view (last pair 14.8 against 26.5); a pair with rest = 4 on at least
-        _WIDE_STACK blocks as the same GEMM on the stack with its last two axes
-        swapped, as numpy's stack of 16 x 16 by 16 x 4 products is slow there
-        (40.0 against 57.5) though faster on fewer blocks; any other shape as M
-        times each block, which a one-qubit map keeps at every width (47 against
-        63 transposed)."""
+        product picked from that shape alone (us per op at n = 7, one BLAS thread,
+        ``BENCH_kernel_table.json``): on the last qubits (rest = 1) one GEMM of the
+        (blocks, 4^k) rows with a C-contiguous copy of M^T, which numpy runs faster
+        than the ``.T`` view (last pair 13.3 against 22.4); a pair with rest = 4 on
+        at least _WIDE_STACK blocks the same GEMM on the stack with its last two
+        axes swapped, where numpy's stack of 16 x 16 by 16 x 4 products is slow
+        (25.4 against 42.5), though not on fewer blocks; any other shape M times
+        each block, which a one-qubit map keeps at every width (68.8 against 87.7
+        transposed on qubit n - 2)."""
         k, first = len(self.qubits), self.qubits[0]
         if self.qubits == tuple(range(first, first + k)):  # adjacent: no transpose
             source, target = state.reshape(4**first, 4**k, -1), spare

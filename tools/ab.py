@@ -3,11 +3,11 @@
     python3 tools/ab.py A B --workload sel7-deep --rounds 40 --out BENCH_ab.json
 
 Run from the root of a git checkout. Both revisions are exported as
-``tools/pairs.py`` does and imported under their own names (the package
-imports itself relatively), with a renamed copy of A as an identical-code
-control, under one BLAS thread. After a warm-up sweep each, every round times
-whole ``run_sweep`` calls of the workload's seed-0 grid: A, B, then A, A',
-each pair reversed on odd rounds. ``--out`` gains an entry "A..B workload".
+``tools/pairs.py`` does and imported under their own names (the package imports
+itself relatively), beside a renamed copy of A as an identical-code control,
+with one BLAS thread. After a warm-up sweep each, every round times whole
+``run_sweep`` calls of the workload's grid at ``--seed``: A, B, then A, A', each
+pair reversed on odd rounds. ``--out`` gains the entry "A..B workload seed S".
 """
 
 from __future__ import annotations
@@ -49,23 +49,23 @@ def series(first: list[float], second: list[float]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="in-process interleaved A/B of whole sweeps")
-    parser.add_argument("a")
-    parser.add_argument("b")
+    parser.add_argument("revisions", nargs=2, metavar="A B")
     parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     os.environ.update({var: "1" for var in THREAD_VARS})  # before any numpy import
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
-        trees = [export(Path.cwd(), rev, scratch) for rev in (args.a, args.b)]
+        trees = [export(Path.cwd(), rev, scratch) for rev in args.revisions]
         sys.path[:0] = [str(trees[0] / "perfbench"), str(scratch)]
         config = importlib.import_module("workloads").WORKLOADS[args.workload].config
         packages = []
         for tree, name in zip((*trees, trees[0]), ("ab_a", "ab_b", "ab_a_copy")):
             shutil.copytree(tree / "src" / "noisescramble", scratch / name)
             packages.append(importlib.import_module(name))
-        configs = [p.ExperimentConfig(seed=0, **config) for p in packages]
+        configs = [p.ExperimentConfig(seed=args.seed, **config) for p in packages]
 
         def timed(side: int) -> float:
             started = time.perf_counter()
@@ -83,9 +83,9 @@ def main(argv=None) -> int:
 
     change, control = series(first[1], second[1]), series(first[2], second[2])
     entry = {
-        "method": (f"tools/ab.py: {args.rounds} rounds after a warm-up sweep each, seed 0; "
-                   "per round the pairs (A, B) and (A, A'), reversed on odd rounds"),
-        "revisions": {"A": args.a, "B": args.b}, "workload": args.workload,
+        "method": (f"tools/ab.py: {args.rounds} rounds after a warm-up sweep each; per round "
+                   "the pairs (A, B) and (A, A'), reversed on odd rounds"),
+        "revisions": dict(zip("AB", args.revisions)), "workload": args.workload, "seed": args.seed,
         "machine": {"nproc": os.cpu_count(), "numpy": sys.modules["numpy"].__version__,
                     **{var: os.environ[var] for var in THREAD_VARS}},
         "B/A": change, "A'/A": control,
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     }
     out = Path(args.out)
     report = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    report[f"{args.a}..{args.b} {args.workload}"] = entry
+    report[f"{'..'.join(args.revisions)} {args.workload} seed {args.seed}"] = entry
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"{args.workload}: B/A quartiles {change['ratio_quartiles']}, "
           f"A'/A {control['ratio_quartiles']}, {entry['verdict']}")
