@@ -20,14 +20,14 @@ disjoint qubits, so it changes results by rounding alone. An op on the last
 qubits is one GEMM of the state's rows with a copy of its map transposed, a
 pair with four trailing coefficients on at least 64 blocks the same GEMM on
 the stack with its last two axes swapped, and any other op on one or two
-qubits its map times each block of the state. A Pauli exponential on
-more qubits and its noise are one op that pairs coefficients, never a
-dense 4^k map. The state enters the Pauli basis once, directly as
-|0...0><0...0| by default, and leaves it once, as an exactly Hermitian
-d x d matrix. The state and the kernel's spare buffer
-are the two real halves of that matrix's complex buffer, and the way out
-works inside it, so memory peaks at one d x d buffer and an eighth. A
-sweep row's report then reduces rho in the same buffer.
+qubits its map times each block of the state. A Pauli exponential on more
+qubits and its noise are one op that pairs coefficients, never a dense 4^k
+map. The state enters the Pauli basis once, directly as |0...0><0...0| by
+default, and leaves it once, as an exactly Hermitian d x d matrix. The
+state and the kernel's spare buffer are the two real halves of that
+matrix's complex buffer, and the way out works inside it, so memory peaks
+at one d x d buffer and an eighth. A sweep row's report then reduces rho
+in the same buffer.
 ``run_ideal`` walks a state vector by cached register tables, with no gate
 matrix: exp(-i t P) is cos(t) psi - i sin(t) P psi for P psi =
 factor * sign * psi[source], or one coefficient per entry times psi for a

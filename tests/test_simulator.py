@@ -781,8 +781,9 @@ class TestProductForms:
         for first in range(n - 1):
             self._check(rng, n, (first, first + 1))
 
-    def test_one_qubit_maps_stay_on_the_stacked_product(self, rng):
-        # on qubit 5 of 7 the map has 4 trailing coefficients on 1024 blocks
+    def test_every_one_qubit_map(self, rng):
+        # qubit 5 of 7 has 4 trailing coefficients on 1024 blocks and stays on
+        # the stacked product; qubit 6 is the last
         for q in range(7):
             self._check(rng, 7, (q,))
 
