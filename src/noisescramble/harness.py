@@ -27,7 +27,7 @@ from .hamiltonians import (
     build_xxx_hamiltonian,
     load_hamiltonian_file,
 )
-from .metrics import _report
+from .metrics import SpectralReport, _report
 from .simulator import CircuitProgram, _check_density, _evolve, basis_statevector, run_ideal
 
 FAMILIES = ("SEL", "HVA-XXX", "HVA-TFI", "HVA-TFI-RZ", "HVA-SPARSE")
@@ -186,6 +186,8 @@ _CSV_RENAMES = {
 }
 _ROW_FIELDS = fields(ResultRow)
 CSV_HEADER = tuple(_CSV_RENAMES.get(field.name, field.name) for field in _ROW_FIELDS)
+# the measured columns: the report's fields that are also row fields, by name
+_REPORT_COLUMNS = tuple(f.name for f in fields(SpectralReport) if f.name in ResultRow.__annotations__)
 
 
 def derive_seed(*parts) -> int:
@@ -258,8 +260,7 @@ def _compute_row(
     rho = _evolve(program)  # run_circuit's buffer, which the report then overwrites
     _check_density(rho)
     psi = run_ideal(program, basis_statevector(config.n_qubits))
-    eta_est = _no_error_probability(epsilon, program.gate_count)
-    report = _report(rho, psi, eta_est)
+    report = _report(rho, psi)
     elapsed = time.perf_counter() - started
     return ResultRow(
         family=config.family,
@@ -267,13 +268,8 @@ def _compute_row(
         epsilon=epsilon,
         nu=program.gate_count,
         seed=seed_index,
-        uniformity=report.uniformity,
-        commutator_rel=report.commutator_rel,
-        commutator_abs=report.commutator_abs,
-        fidelity=report.fidelity,
-        lambda1=report.lambda1,
-        trace_dist_wn=report.trace_dist_wn,
-        eta_est=eta_est,
+        **{name: getattr(report, name) for name in _REPORT_COLUMNS},
+        eta_est=_no_error_probability(epsilon, program.gate_count),
         wall_time_seconds=elapsed,
         reason=report.degenerate_reason,
     )

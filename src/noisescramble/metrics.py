@@ -284,16 +284,14 @@ def dominant_eigenvalue_gap(rho, psi_id: np.ndarray) -> GapBound:
     O(1) numbers, and a difference below 1e2 * eps_mach (about 2e-14) is
     rounding noise, reported as 0.0.
     """
-    mat = _as_matrix(rho)
-    psi = _check_vector(psi_id, mat.shape[0])
-    lam1 = float(eigendecompose(mat, psi).eigenvalues[0])
-    gap = lam1 - fidelity(mat, psi)
+    report = compute_spectral_report(rho, psi_id)
+    lam1, gap = report.lambda1, report.lambda1 - report.fidelity
     if gap < _GAP_FLOOR:
         gap = 0.0
     if lam1 <= 0.5 + 1e-9:
         return GapBound(gap=gap, bound=math.nan, bound_applicable=False)
-    bound = variance(mat, psi) / (2.0 * lam1 - 1.0)
-    form = arrowhead_transform(mat, psi)
+    bound = variance(rho, psi_id) / (2.0 * lam1 - 1.0)
+    form = arrowhead_transform(rho, psi_id)
     if form.diag.max() > 1.0 - lam1 + 1e-12:
         return GapBound(gap=gap, bound=bound, bound_applicable=False)
     # every diag_k <= 1 - lambda_1 < lambda_1, so lambda_1 is a secular root
@@ -340,8 +338,8 @@ class SpectralReport:
     trace norm of the rank-2 commutator, 2 sqrt(variance), with no
     diagonalisation. ``trace_dist_wn`` is the full trace norm against the
     white-noise state built with eta equal to the dominant eigenvalue.
-    ``error_overlap`` is the ideal-state weight of the error component,
-    available once an expected no-error probability has been supplied.
+    ``error_overlap``, the ideal-state weight of the error component, is filled
+    only by ``compute_spectral_report``, given a no-error probability below 1.
     """
 
     fidelity: float
@@ -354,11 +352,12 @@ class SpectralReport:
     degenerate_reason: str | None = None
 
 
-def compute_spectral_report(
-    rho, psi_id: np.ndarray, eta_estimate: float | None = None
-) -> SpectralReport:
+def compute_spectral_report(rho, psi_id: np.ndarray, eta_estimate: float | None = None) -> SpectralReport:
     """Assemble the full metric set for one simulated state; rho is copied, never written."""
-    return _report(np.array(_checked_matrix(rho), order="C"), psi_id, eta_estimate)
+    report = _report(np.array(_checked_matrix(rho), order="C"), psi_id)
+    if eta_estimate is not None and eta_estimate < 1.0 - 1e-15:
+        report.error_overlap = (report.fidelity - eta_estimate) / (1.0 - eta_estimate)
+    return report
 
 
 def _reflect(work: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -456,10 +455,9 @@ def _reduce(work: np.ndarray):
     return diag, spectrum
 
 
-def _report(work: np.ndarray, psi_id: np.ndarray, eta_estimate: float | None) -> SpectralReport:
-    """The report of a checked density matrix, which it overwrites (a sweep row passes its
-    own): F and the variance from one product rho psi, then both spectra from one reduction
-    of H0 rho H0."""
+def _report(work: np.ndarray, psi_id: np.ndarray) -> SpectralReport:
+    """The report of a checked density matrix, which it overwrites (a sweep row passes its own): F
+    and the variance from one product rho psi, then both spectra from one reduction of H0 rho H0."""
     d = work.shape[0]
     psi = _check_vector(psi_id, d)
     f, var = _fidelity_and_variance(work @ psi, psi)
@@ -473,17 +471,12 @@ def _report(work: np.ndarray, psi_id: np.ndarray, eta_estimate: float | None) ->
     commutator_rel = None if degenerate else commutator_abs / (1.0 - lam1)
     diag -= (1.0 - lam1) / d  # T becomes the reduced rho - rho_wn
     diag[0] -= lam1
-    dist_wn = float(np.abs(spectrum()).sum())
-    error_overlap = None
-    if eta_estimate is not None and eta_estimate < 1.0 - 1e-15:
-        error_overlap = (f - eta_estimate) / (1.0 - eta_estimate)
     return SpectralReport(
         fidelity=f,
         lambda1=lam1,
         uniformity=uniformity,
         commutator_abs=commutator_abs,
         commutator_rel=commutator_rel,
-        trace_dist_wn=dist_wn,
-        error_overlap=error_overlap,
+        trace_dist_wn=float(np.abs(spectrum()).sum()),
         degenerate_reason="noiseless" if degenerate else None,
     )

@@ -238,8 +238,6 @@ class NoiseSpec:
     def per_qubit_error_rate(self, n_support: int) -> float:
         """Probability that one support qubit suffers an X, Y or Z error."""
         eps = self.per_gate_error
-        if eps == 0.0:
-            return 0.0
         if eps == 1.0:
             return 1.0
         return -math.expm1(math.log1p(-eps) / n_support)

@@ -3,7 +3,9 @@ import pytest
 
 from noisescramble import (
     AnsatzError,
+    CircuitProgram,
     DensityMatrix,
+    Gate,
     InvalidDistributionError,
     InvalidSizeError,
     PauliTermHamiltonian,
@@ -16,6 +18,7 @@ from noisescramble import (
     build_xxx_hamiltonian,
     run_ideal,
 )
+from noisescramble.ansatz import _ground_state_prep
 
 from .oracles import hamiltonian_matrix
 
@@ -257,3 +260,56 @@ class TestRandomStreams:
             layer_rng.choice(len(terms), size=k, p=weights / weights.sum())
             expected += _scalar_draws(layer_rng, k)
         assert [g.angle for g in program.gates[-len(expected) :]] == expected
+
+
+class TestInputChecks:
+    def test_sel_needs_two_qubits(self):
+        with pytest.raises(InvalidSizeError, match="at least 2 qubits"):
+            build_sel_circuit(1, 1)
+
+    def test_sparse_layer_needs_a_term(self):
+        h1 = PauliTermHamiltonian.from_terms(2, [(0.5, "XX")])
+        with pytest.raises(InvalidSizeError, match="at least 1 sampled term"):
+            build_sparse_hva_layer(h1, 0, seed=0)
+
+    def test_hva_needs_a_layer(self):
+        h0, h1 = build_xxx_hamiltonian(3, seed=1)
+        with pytest.raises(InvalidSizeError, match="at least 1 layer"):
+            build_hva_circuit(h0, h1, 0)
+
+    def test_hva_h0_neither_diagonal_nor_x_field(self):
+        _, h1 = build_xxx_hamiltonian(2, seed=1)
+        h0 = PauliTermHamiltonian.from_terms(2, [(0.5, "YI")])
+        with pytest.raises(AnsatzError, match="ground-state preparation"):
+            build_hva_circuit(h0, h1, 1)
+
+
+class TestGroundStatePrep:
+    """Energies, not vectors: a qubit with no field leaves h0's lowest eigenvalue degenerate."""
+
+    @staticmethod
+    def assert_ground_energy(h0, gates):
+        n = h0.n_qubits
+        psi = run_ideal(CircuitProgram(n, tuple(gates)), basis_statevector(n))
+        h = hamiltonian_matrix(h0)
+        assert abs(np.vdot(psi, h @ psi).real - np.linalg.eigvalsh(h)[0]) < 1e-12
+
+    def test_empty_h0_adds_no_gate(self):
+        h0 = PauliTermHamiltonian.from_terms(2, [])
+        gates = _ground_state_prep(h0, 2)
+        assert gates == []
+        self.assert_ground_energy(h0, gates)
+
+    def test_positive_x_field_prepares_minus(self):
+        h0 = PauliTermHamiltonian.from_terms(1, [(0.7, "X")])
+        gates = _ground_state_prep(h0, 1)
+        assert gates == [Gate.rotation_y(0, np.pi), Gate.hadamard(0)]
+        psi = run_ideal(CircuitProgram(1, tuple(gates)), basis_statevector(1))
+        assert abs(abs(np.vdot(np.array([1, -1]) / np.sqrt(2), psi)) - 1.0) < 1e-12
+        self.assert_ground_energy(h0, gates)
+
+    def test_qubit_with_no_field_gets_no_gate(self):
+        h0 = PauliTermHamiltonian.from_terms(3, [(0.4, "XII"), (-0.9, "IIX")])
+        gates = _ground_state_prep(h0, 3)
+        assert [(g.kind, g.qubits) for g in gates] == [("ry", (0,)), ("h", (0,)), ("h", (2,))]
+        self.assert_ground_energy(h0, gates)

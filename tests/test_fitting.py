@@ -88,6 +88,11 @@ class TestFitScaling:
         with pytest.raises(FitError):
             fit_scaling(bad)
 
+    def test_circuit_size_below_one_rejected(self):
+        samples = [ScalingSample(nu, 1e-3 * nu, 0.5) for nu in (0, 10, 100)]
+        with pytest.raises(FitError, match="at least 1"):
+            fit_scaling(samples)
+
     def test_predict_matches_model(self):
         fit = ScalingFit(alpha=2.0, beta=0.5, residual=0.0, samples=())
         assert np.allclose(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,31 @@ class TestLoadHamiltonianFile:
         h = load_hamiltonian_file(REPO_ROOT / "demos" / "data" / "toy_molecule_4q.txt")
         assert h.n_qubits == 4
         assert len(h.offdiagonal_part()) > 0
+
+
+class TestInputChecks:
+    def test_empty_pauli_string(self):
+        with pytest.raises(ValueError, match="empty Pauli string"):
+            PauliString("")
+
+    def test_non_finite_coefficient(self):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            PauliTermHamiltonian.from_terms(2, [(math.inf, "XX")])
+
+    def test_diagonal_vector_of_non_diagonal_term(self):
+        with pytest.raises(ShapeError, match="not diagonal"):
+            PauliTermHamiltonian.from_terms(2, [(1.0, "XZ")]).diagonal_vector()
+
+    def test_tfi_needs_two_qubits(self):
+        with pytest.raises(InvalidSizeError, match="at least 2 qubits"):
+            build_tfi_hamiltonian(1, seed=0)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("0.5 ZZ XX", "expected '<coefficient> <pauli-string>'"), ("inf ZZ", "non-finite coefficient")],
+    )
+    def test_bad_file_line(self, tmp_path, line, message):
+        path = tmp_path / "h.txt"
+        path.write_text(f"0.5 ZI\n{line}\n")
+        with pytest.raises(HamiltonianParseError, match=f"line 2: {message}"):
+            load_hamiltonian_file(path)

@@ -16,6 +16,7 @@ from noisescramble import (
     Gate,
     ResourceError,
     ResultRow,
+    ShapeError,
     aggregate_and_fit,
     basis_statevector,
     build_program,
@@ -168,11 +169,42 @@ class TestExperimentConfig:
         assert all(type(v) is int for v in (config.n_qubits, *config.layers, *config.seeds))
         assert type(config.epsilons[0]) is float
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"family": "HVA-XXX", "parameter_mode": "warm"}, "unknown parameter mode"),
+            ({"layers": ()}, "must all be non-empty"),
+            ({"epsilons": (1.5,)}, r"every epsilon must lie in \[0, 1\]"),
+            ({"layers": (1, 0)}, "every layer count must be at least 1"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**overrides)
+
+    def test_from_dict_of_a_list(self):
+        with pytest.raises(ConfigError, match="expected a JSON object"):
+            ExperimentConfig.from_dict([config_payload(small_config())])
+
     def test_type_errors_from_a_file_name_the_file(self):
         payload = config_payload(small_config())
         payload["layers"] = [1.5]
         with pytest.raises(ConfigError, match=r"^scan\.json: layers"):
             ExperimentConfig.from_dict(payload, source="scan.json")
+
+
+class TestBuildProgram:
+    MOLECULE = REPO_ROOT / "demos" / "data" / "toy_molecule_4q.txt"
+
+    def test_sparse_family_without_file_hamiltonian(self):
+        config = small_config(family="HVA-SPARSE", n_qubits=4, hamiltonian_file=str(self.MOLECULE))
+        with pytest.raises(ConfigError, match="needs a hamiltonian_file"):
+            build_program(config, 1, ansatz_seed=0, hamiltonian_seed=0)
+
+    def test_sparse_family_with_file_of_other_width(self):
+        config = small_config(family="HVA-SPARSE", n_qubits=3, hamiltonian_file=str(self.MOLECULE))
+        with pytest.raises(ShapeError, match="on 4 qubits, config says 3"):
+            build_program(config, 1, 0, 0, file_hamiltonian=load_hamiltonian_file(self.MOLECULE))
 
 
 class TestDeriveSeed:
@@ -522,8 +554,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError):
             read_rows(path)
 
+    def test_comments_only_rejected(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("# noisescramble-rows schema_version=1\n# no header\n")
+        with pytest.raises(ConfigError, match="no header row"):
+            read_rows(path)
+
 
 class TestAggregateAndFit:
+    def test_no_rows_rejected(self):
+        with pytest.raises(FitError, match="no rows"):
+            aggregate_and_fit([])
+
     def test_seed_means_and_fit(self):
         config = small_config(
             epsilons=(1e-7,), layers=(2, 4, 8, 16), seeds=tuple(range(5)), n_qubits=4
@@ -692,6 +734,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seeds" in err
         assert not out.exists()
+
+    def test_sweep_seeds_replaces_the_seed_list(self, tmp_path):
+        config = small_config(layers=(1, 2), seeds=(7,))
+        config_path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+        config_path.write_text(json.dumps(config_payload(config)))
+        assert cli_main(["sweep", "--config", str(config_path), "--out", str(out), "--seeds", "3"]) == 0
+        expected = run_sweep(dataclasses.replace(config, seeds=(0, 1, 2)))
+        assert [row.seed for row in read_rows(out)] == [0, 1, 2] * 2
+        untimed = [dataclasses.replace(row, wall_time_seconds=0.0) for row in read_rows(out)]
+        assert untimed == [dataclasses.replace(row, wall_time_seconds=0.0) for row in expected]
+
+    def test_sweep_without_output_path_writes_nothing(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(small_config(layers=(1,), seeds=(0,)))))
+        assert cli_main(["sweep", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no output path") and captured.out == ""
+        assert list(tmp_path.iterdir()) == [config_path]
 
     def test_fit_emits_plot_data(self, tmp_path):
         rows_path = tmp_path / "rows.csv"

@@ -6,6 +6,7 @@ from noisescramble import (
     DegenerateStateError,
     DensityMatrix,
     InvalidObservableError,
+    InvalidRateError,
     InvalidStateError,
     PoleError,
     ShapeError,
@@ -542,8 +543,8 @@ class TestSpectralReport:
         # zhetrd_hb2st in rho's spent buffer) are held to the same bound
         program = build_sel_circuit(n, 2, seed=0).with_noise(1e-3)
         psi = run_ideal(program, basis_statevector(n))
-        _report(_evolve(program), psi, None)  # warm-up
-        peak = traced_peak(_report, _evolve(program), psi, None)
+        _report(_evolve(program), psi)  # warm-up
+        peak = traced_peak(_report, _evolve(program), psi)
         assert peak <= 0.1 * 16 * 4**n, peak / (16 * 4**n)
 
     def test_inputs_left_unchanged(self):
@@ -715,3 +716,33 @@ class TestOneReduction:
         e1 = np.zeros((d, d))
         e1[0, 0] = 1.0
         assert np.abs(work - e1).max() <= 1e-15
+
+
+class TestInputChecks:
+    def test_eigendecompose_non_square(self):
+        with pytest.raises(ShapeError, match="square"):
+            eigendecompose(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.1])
+    def test_white_noise_eta_outside_unit_interval(self, eta):
+        with pytest.raises(InvalidRateError, match="outside"):
+            build_white_noise_state(E0, eta)
+        with pytest.raises(InvalidRateError, match="outside"):
+            white_noise_distance_identity(E0, eta, np.eye(2) / 2)
+
+    def test_bias_bound_shape_mismatch(self):
+        obs = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(ShapeError, match="does not match"):
+            bias_bound(obs, np.eye(4) / 4, basis_statevector(2), 0.5)
+
+    def test_bias_bound_eta_zero(self):
+        obs = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(InvalidRateError, match="positive"):
+            bias_bound(obs, np.eye(2) / 2, E0, 0.0)
+
+    @pytest.mark.parametrize(
+        "err, message", [(np.diag([0.5, 0.4]), "trace"), (np.diag([1.2, -0.2]), "eigenvalue")]
+    )
+    def test_distance_identity_error_matrix_not_a_state(self, err, message):
+        with pytest.raises(InvalidStateError, match=message):
+            white_noise_distance_identity(E0, 0.5, err.astype(complex))

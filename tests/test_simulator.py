@@ -998,3 +998,13 @@ class TestPauliTransferMatrices:
             ptm = _dense(ptm)
             assert np.abs(ptm - expected).max() < 1e-14, (gate.kind, gate.pauli)
             assert np.array_equal(ptm[0], np.eye(4**k)[0]), (gate.kind, gate.pauli)
+
+
+class TestInputChecks:
+    def test_negative_qubit_index(self):
+        with pytest.raises(InvalidGateError, match="negative qubit index"):
+            Gate.hadamard(-1)
+
+    def test_run_ideal_start_vector_of_wrong_length(self):
+        with pytest.raises(ShapeError, match="dimension 2, expected 4"):
+            run_ideal(CircuitProgram(2, ()), basis_statevector(1))
